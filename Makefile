@@ -62,7 +62,7 @@ cover-export:
 	awk -v t="$$total" 'BEGIN { exit !(t + 0 >= 70) }' || { echo "FAIL: internal/obs/export coverage $$total% below the 70% gate"; exit 1; }
 
 # cover-shard gates the distributed sharding layer at 85% — stricter
-# than the other floors because a wrong shard plan, claim or merge
+# than the other floors because a wrong shard plan, task lookup or merge
 # silently produces a run manifest that is not what the sequential
 # path would have computed, defeating the layer's entire contract.
 cover-shard:
@@ -134,7 +134,8 @@ bench-shard:
 # bench-shard-check is the CI scaling gate: 25% tolerance against the
 # checked-in curve plus absolute floors — sharding must keep paying at
 # every width (>= 1.5x at 2, >= 2x at 4, >= 3x at 8; the per-worker
-# fixed cost of fingerprinting and planning bounds it away from ideal).
+# fixed cost of fingerprinting and planning bounds it away from ideal,
+# and each task costs one cache lookup on top of its pricing).
 bench-shard-check:
 	$(GO) test -bench='^BenchmarkShardSweep$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | $(GO) run ./cmd/benchjson -match '^ShardSweep' -o bench-shard-new.json
 	$(GO) run ./cmd/benchguard -in bench-shard-new.json -baseline BENCH_shard.json -max-regress 0.25 \

@@ -127,7 +127,6 @@ func naiveClusterFrames(b *testing.B, w *trace.Workload, mixes map[shader.ID]sha
 //	                exact leader)
 //	path=exact      current exact path (flat extraction, scratch reuse)
 //	path=bucketed   signature-bucketed leader
-//	path=sampled    mini-batch k-means
 //	path=streaming  one-pass streaming leader, no materialized matrix
 //
 // `make bench-hotpath` renders this into BENCH_hotpath.json; the
@@ -159,7 +158,6 @@ func BenchmarkHotPath(b *testing.B) {
 	}{
 		{"exact", subset.Method{Algo: subset.AlgoLeader, Threshold: threshold, Normalizer: "zscore", Mode: subset.ModeExact}},
 		{"bucketed", subset.Method{Algo: subset.AlgoLeader, Threshold: threshold, Normalizer: "zscore", Mode: subset.ModeBucketed}},
-		{"sampled", subset.Method{Algo: subset.AlgoKMeans, Threshold: threshold, MaxIter: 50, Normalizer: "zscore", Mode: subset.ModeSampled}},
 		{"streaming", subset.Method{Algo: subset.AlgoLeader, Threshold: threshold, Normalizer: "zscore", Mode: subset.ModeStreaming}},
 	}
 	for _, arm := range arms {

@@ -60,9 +60,8 @@ func BenchmarkShardSweep(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					wk := shard.NewWorker(shard.WorkerOptions{Cache: c})
 					t0 := time.Now()
-					m, _, err := wk.Run(context.Background(), w, cfgs, shard.Spec{Index: s, Count: n})
+					m, _, err := shard.RunShard(context.Background(), c, w, cfgs, shard.Spec{Index: s, Count: n})
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -8,6 +8,7 @@
 package repro_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -206,7 +207,7 @@ func BenchmarkE8FreqCorrelation(b *testing.B) {
 	var r float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sweep.Run(w, s, cfgs)
+		res, err := sweep.RunParallel(context.Background(), w, s, cfgs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +287,7 @@ func BenchmarkE11MemScaling(b *testing.B) {
 	var r float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sweep.Run(w, s, cfgs)
+		res, err := sweep.RunParallel(context.Background(), w, s, cfgs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -376,7 +377,7 @@ func BenchmarkE16EnergyPathfinding(b *testing.B) {
 	agree := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sweep.RunEnergy(w, s, pm, cfgs)
+		res, err := sweep.RunEnergyParallel(context.Background(), w, s, pm, cfgs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -427,7 +428,7 @@ func BenchmarkE19Frontier(b *testing.B) {
 	var agreement float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sweep.RunEnergy(w, s, pm, grid)
+		res, err := sweep.RunEnergyParallel(context.Background(), w, s, pm, grid, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -460,7 +461,7 @@ func BenchmarkE20MicroarchSweep(b *testing.B) {
 	var r float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sweep.Run(w, s, cfgs)
+		res, err := sweep.RunParallel(context.Background(), w, s, cfgs, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -549,7 +550,7 @@ func BenchmarkE12Pathfinding(b *testing.B) {
 	agree := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sweep.Run(w, s, grid)
+		res, err := sweep.RunParallel(context.Background(), w, s, grid, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,10 +23,10 @@
 // The first form prices the whole grid in-process and prints the sweep
 // table. The second prices only shard 2 of 4 — any number of gpusim
 // processes (one per shard, on any machines sharing the cache and
-// manifest directories) coordinate through content-addressed claims,
-// each writing a per-shard manifest. The third folds the manifests
-// back into one run manifest, byte-identical to what the first form
-// would have produced.
+// manifest directories) share priced configs through the
+// content-addressed cache, each writing a per-shard manifest. The
+// third folds the manifests back into one run manifest, byte-identical
+// to what the first form would have produced.
 //
 // Observability: -log-level {debug,info,warn,error,off} enables
 // structured stderr logging, -manifest out.json exports the run
@@ -69,13 +69,12 @@ type config struct {
 	cacheDir  string
 	cacheMem  int
 
-	gridCore   string
-	gridMem    string
-	shard      string
-	shardDir   string
-	shardLease time.Duration
-	merge      bool
-	sweepOut   string
+	gridCore string
+	gridMem  string
+	shard    string
+	shardDir string
+	merge    bool
+	sweepOut string
 
 	logLevel string
 	manifest string
@@ -100,7 +99,6 @@ func main() {
 	flag.StringVar(&cfg.gridMem, "grid-mem", "", "comma-separated memory clocks (GHz) for a grid sweep (default 1.0)")
 	flag.StringVar(&cfg.shard, "shard", "", "price only shard i/n of the grid (e.g. 2/4); requires -cache-dir and -shard-dir")
 	flag.StringVar(&cfg.shardDir, "shard-dir", "", "directory for per-shard manifests (written by -shard, read by -merge)")
-	flag.DurationVar(&cfg.shardLease, "shard-lease", 30*time.Second, "how long another worker's claim is believed before it is treated as dead")
 	flag.BoolVar(&cfg.merge, "merge", false, "fold the per-shard manifests in -shard-dir into the run manifest (no -trace needed)")
 	flag.StringVar(&cfg.sweepOut, "sweep-out", "", "write the sweep's run manifest (JSON) to this file")
 	flag.StringVar(&cfg.logLevel, "log-level", "off", "structured logging to stderr: debug, info, warn, error or off")
@@ -318,8 +316,7 @@ func sweepGrid(ctx context.Context, run *obs.Run, cfg config) error {
 		if rcache == nil || rcache.Dir() == "" {
 			return fmt.Errorf("-shard needs a shared -cache-dir to coordinate with the other shards")
 		}
-		wk := shard.NewWorker(shard.WorkerOptions{Cache: rcache, LeaseTTL: cfg.shardLease})
-		m, st, err := wk.Run(ctx, w, cfgs, spec)
+		m, st, err := shard.RunShard(ctx, rcache, w, cfgs, spec)
 		if err != nil {
 			return err
 		}

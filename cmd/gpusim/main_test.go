@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/synth"
 )
@@ -45,13 +44,12 @@ func writeTrace(t *testing.T, dir string) string {
 
 func baseCfg(tracePath string, out *bytes.Buffer) config {
 	return config{
-		tracePath:  tracePath,
-		core:       1.0,
-		mem:        1.0,
-		workers:    runtime.GOMAXPROCS(0),
-		shardLease: 30 * time.Second,
-		logLevel:   "off",
-		out:        out,
+		tracePath: tracePath,
+		core:      1.0,
+		mem:       1.0,
+		workers:   runtime.GOMAXPROCS(0),
+		logLevel:  "off",
+		out:       out,
 	}
 }
 

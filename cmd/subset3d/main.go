@@ -83,7 +83,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.tracePath, "trace", "", "input .trace file (required)")
 	flag.Float64Var(&cfg.threshold, "threshold", core.DefaultOptions().Subset.Method.Threshold, "leader clustering threshold")
-	flag.StringVar(&cfg.mode, "cluster-mode", "exact", "clustering hot-path strategy: exact, bucketed, sampled or streaming (non-exact modes are approximate but sub-linear)")
+	flag.StringVar(&cfg.mode, "cluster-mode", "exact", "clustering hot-path strategy: exact, bucketed or streaming (non-exact modes are approximate but sub-linear)")
 	flag.IntVar(&cfg.interval, "interval", core.DefaultOptions().Subset.Phase.IntervalFrames, "phase detection interval (frames)")
 	flag.BoolVar(&cfg.fast, "fast", false, "skip per-frame clustering evaluation")
 	flag.StringVar(&cfg.streamIn, "stream", "", "frame-stream trace to subset in one bounded-memory pass")
@@ -159,9 +159,6 @@ func runStream(ctx context.Context, run *obs.Run, cfg config) error {
 	if err != nil {
 		return err
 	}
-	if opt.Method.Mode == subset.ModeSampled {
-		opt.Method.Algo = subset.AlgoKMeans
-	}
 	opt.Phase.IntervalFrames = cfg.interval
 	opt.Lenient = cfg.lenient
 	res, err := stream.RunContext(ctx, r, opt)
@@ -207,9 +204,6 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 	opt.Subset.Method.Mode, err = subset.ParseMode(cfg.mode)
 	if err != nil {
 		return err
-	}
-	if opt.Subset.Method.Mode == subset.ModeSampled {
-		opt.Subset.Method.Algo = subset.AlgoKMeans
 	}
 	opt.Subset.Phase.IntervalFrames = cfg.interval
 	opt.SkipClusteringEval = cfg.fast

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,15 @@ func main() {
 			log.Fatal(err)
 		}
 		estA, estB := sub.EstimateParentNs(simA), sub.EstimateParentNs(simB)
-		fullA, fullB := simA.Run().TotalNs, simB.Run().TotalNs
+		runA, err := simA.RunParallel(context.Background(), 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		runB, err := simB.RunParallel(context.Background(), 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fullA, fullB := runA.TotalNs, runB.TotalNs
 
 		pick := func(a, b float64) string {
 			if a <= b {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,7 @@ func main() {
 		[]float64{0.5, 0.75, 1.0, 1.5}) // memory clocks (GHz)
 
 	// Production mode: subset only.
-	subsetNs, err := sweep.SubsetOnly(sub, grid)
+	subsetNs, err := sweep.SubsetOnlyParallel(context.Background(), sub, grid, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func main() {
 
 	// Verification (normally skipped — it defeats the cost savings):
 	// does the full trace agree?
-	res, err := sweep.Run(workload, sub, grid)
+	res, err := sweep.RunParallel(context.Background(), workload, sub, grid, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -78,8 +79,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	full, err := sim.RunParallel(context.Background(), 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("parent estimate: streamed %.2f ms, batch %.2f ms (parent actual %.2f ms)\n",
 		res.EstimateParentNs(sim)/1e6,
 		batch.EstimateParentNs(sim)/1e6,
-		sim.Run().TotalNs/1e6)
+		full.TotalNs/1e6)
 }

@@ -435,3 +435,56 @@ func TestWorkloadBinding(t *testing.T) {
 		t.Fatal("nil cache changed the context")
 	}
 }
+
+func TestLookupReadsStoredEntries(t *testing.T) {
+	c := mustCache(t, Config{Dir: t.TempDir()})
+	ctx := context.Background()
+	key := NewKey("lookup", 1).Sum()
+	want := payload{N: 42, Xs: []float64{1, 2, 3}}
+	if _, err := GetOrCompute(ctx, c, key, func() (payload, error) { return want, nil }); err != nil {
+		t.Fatal(err)
+	}
+	// Cross-handle: a second cache over the same directory sees the
+	// entry after Flush — the path shard workers rely on.
+	c.Flush()
+	c2 := mustCache(t, Config{Dir: c.Dir()})
+	got, err := GetOrCompute(ctx, c2, key, func() (payload, error) {
+		t.Fatal("cross-handle lookup computed despite a stored entry")
+		return payload{}, nil
+	})
+	if err != nil || got.N != want.N || len(got.Xs) != len(want.Xs) {
+		t.Fatalf("cross-handle lookup: got=%+v err=%v", got, err)
+	}
+	if st := c2.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("stats %+v, want one hit and no miss", st)
+	}
+}
+
+// A well-framed entry whose payload decodes to a different type than
+// the one requested is counted corrupt, dropped and recomputed.
+func TestLookupDropsUndecodablePayload(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	key := NewKey("lookup", 1).Sum()
+	c1 := mustCache(t, Config{Dir: dir})
+	if _, err := GetOrCompute(ctx, c1, key, func() (string, error) { return "not a payload", nil }); err != nil {
+		t.Fatal(err)
+	}
+	path := entryFile(t, c1, key)
+
+	c2 := mustCache(t, Config{Dir: dir})
+	calls := 0
+	v, err := GetOrCompute(ctx, c2, key, func() (payload, error) {
+		calls++
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Error("undecodable entry not dropped from disk before recompute")
+		}
+		return payload{N: 3}, nil
+	})
+	if err != nil || calls != 1 || v.N != 3 {
+		t.Fatalf("v=%+v err=%v calls=%d, want one recompute", v, err, calls)
+	}
+	if st := c2.Stats(); st.Corrupt != 1 {
+		t.Fatalf("stats %+v, want 1 corrupt", st)
+	}
+}

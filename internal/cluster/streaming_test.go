@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dcmath"
-	"repro/internal/linalg"
 )
 
 // Streaming leader consumes points one at a time and must agree
@@ -98,56 +97,4 @@ func TestStreamingLeaderErrors(t *testing.T) {
 		}
 	}()
 	sl.Add([]float64{1, 2})
-}
-
-func TestMiniBatchKMeansRecoversBlobs(t *testing.T) {
-	x, want := blobs(300, 4, 0.3, 5)
-	rng := dcmath.NewRNG(42)
-	res, err := MiniBatchKMeans(x, 4, rng, 64, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if res.K != 4 {
-		t.Fatalf("K = %d, want 4", res.K)
-	}
-	if !agree(res.Assign, want) {
-		t.Error("mini-batch kmeans did not recover the blob partition")
-	}
-}
-
-func TestMiniBatchKMeansDeterministic(t *testing.T) {
-	x, _ := blobs(200, 4, 1.0, 6)
-	a, err := MiniBatchKMeans(x, 6, dcmath.NewRNG(9), 32, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MiniBatchKMeans(x, 6, dcmath.NewRNG(9), 32, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.K != b.K {
-		t.Fatalf("K %d vs %d across identical seeds", a.K, b.K)
-	}
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			t.Fatalf("assignment %d differs across identical seeds", i)
-		}
-	}
-}
-
-func TestMiniBatchKMeansErrors(t *testing.T) {
-	x := linalg.NewMatrix(4, 2)
-	rng := dcmath.NewRNG(1)
-	if _, err := MiniBatchKMeans(x, 0, rng, 2, 5); err == nil {
-		t.Error("accepted k=0")
-	}
-	if _, err := MiniBatchKMeans(x, 2, rng, 0, 5); err == nil {
-		t.Error("accepted batch=0")
-	}
-	if _, err := MiniBatchKMeans(x, 2, rng, 2, 0); err == nil {
-		t.Error("accepted maxIter=0")
-	}
 }

@@ -39,11 +39,6 @@ func TestApproximateModesEquivalentToExact(t *testing.T) {
 			m.Mode = subset.ModeBucketed
 			return m
 		},
-		"sampled-kmeans": func(m subset.Method) subset.Method {
-			m.Algo = subset.AlgoKMeans
-			m.Mode = subset.ModeSampled
-			return m
-		},
 		"streaming-leader": func(m subset.Method) subset.Method {
 			m.Mode = subset.ModeStreaming
 			return m

@@ -106,7 +106,7 @@ func TestTiersOrderWorkloadPerformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := sim.Run().TotalNs
+		total := runAll(t, sim).TotalNs
 		if i > 0 && total >= prev {
 			t.Errorf("tier %s (%v ns) not faster than previous (%v ns)", cfg.Name, total, prev)
 		}

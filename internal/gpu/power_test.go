@@ -83,10 +83,10 @@ func TestHigherClockCostsMoreEnergyPerBusySecond(t *testing.T) {
 
 func TestRunTotalsConsistentWithRun(t *testing.T) {
 	s, w := newSim(t, BaseConfig())
-	res := s.Run()
+	res := runAll(t, s)
 	res2, tot := s.RunTotals()
 	if math.Abs(res.TotalNs-res2.TotalNs) > 1e-6 {
-		t.Errorf("RunTotals TotalNs %v != Run %v", res2.TotalNs, res.TotalNs)
+		t.Errorf("RunTotals TotalNs %v != RunParallel %v", res2.TotalNs, res.TotalNs)
 	}
 	if math.Abs(tot.TotalNs-res.TotalNs) > 1e-6 {
 		t.Errorf("Totals.TotalNs %v != run total %v", tot.TotalNs, res.TotalNs)

@@ -267,35 +267,13 @@ func (r RunResult) FPS() float64 {
 	return float64(len(r.FrameNs)) / (r.TotalNs * 1e-9)
 }
 
-// Run prices every frame of the simulator's workload.
-func (s *Simulator) Run() RunResult {
-	res, _ := s.RunContext(context.Background())
-	return res
-}
-
-// RunContext prices every frame, checking for cancellation between
-// frames — pricing is the inner loop of every sweep, so this is where
-// a deadline has to land to stop a run promptly.
-func (s *Simulator) RunContext(ctx context.Context) (RunResult, error) {
-	res := RunResult{ConfigName: s.cfg.Name, FrameNs: make([]float64, len(s.w.Frames))}
-	for i := range s.w.Frames {
-		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("gpu: run canceled at frame %d/%d: %w", i, len(s.w.Frames), err)
-		}
-		t := s.FrameNs(&s.w.Frames[i])
-		res.FrameNs[i] = t
-		res.TotalNs += t
-	}
-	return res, nil
-}
-
 // RunParallel prices every frame across at most workers goroutines
-// (<= 0 selects GOMAXPROCS). Frames are priced independently —
-// DrawCost is read-only on the simulator — and TotalNs is folded over
-// the per-frame times in frame order, so the result is bit-identical
-// to RunContext at any worker count. Sweeps that already parallelize
-// across configurations should keep using RunContext inside each task
-// rather than nesting pools.
+// (<= 0 selects GOMAXPROCS), checking for cancellation between frames.
+// Frames are priced independently — DrawCost is read-only on the
+// simulator — and TotalNs is folded over the per-frame times in frame
+// order, so the result is bit-identical at any worker count. Sweeps
+// that already parallelize across configurations should pass
+// workers = 1 inside each task rather than nesting pools.
 func (s *Simulator) RunParallel(ctx context.Context, workers int) (RunResult, error) {
 	frameNs, err := parallel.Map(ctx, workers, len(s.w.Frames), func(_ context.Context, i int) (float64, error) {
 		return s.FrameNs(&s.w.Frames[i]), nil

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,6 +17,16 @@ func newSim(t *testing.T, cfg Config) (*Simulator, *trace.Workload) {
 		t.Fatal(err)
 	}
 	return s, w
+}
+
+// runAll prices every frame of the simulator's workload.
+func runAll(t *testing.T, s *Simulator) RunResult {
+	t.Helper()
+	res, err := s.RunParallel(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestNewSimulatorValidates(t *testing.T) {
@@ -161,7 +172,7 @@ func TestFrameAndRunAggregation(t *testing.T) {
 	if got := s.FrameNs(&w.Frames[0]); math.Abs(got-manual) > 1e-6 {
 		t.Errorf("FrameNs = %v, manual sum = %v", got, manual)
 	}
-	res := s.Run()
+	res := runAll(t, s)
 	if len(res.FrameNs) != w.NumFrames() {
 		t.Fatalf("run frames = %d", len(res.FrameNs))
 	}

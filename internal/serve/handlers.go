@@ -328,7 +328,7 @@ type SubsetRequest struct {
 	Validate bool `json:"validate"`
 
 	// Mode selects the clustering hot-path strategy: "exact" (default),
-	// "bucketed", "sampled" or "streaming". Non-exact modes trade a
+	// "bucketed" or "streaming". Non-exact modes trade a
 	// slightly larger subset for sub-linear clustering work; see
 	// subset.Mode.
 	Mode string `json:"mode,omitempty"`
@@ -372,8 +372,9 @@ func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Key by the parsed mode, so "" and "exact" — the same computation
-	// — share one cache entry.
-	key := cache.NewKey("serve.subset", 2).
+	// — share one cache entry. v3: mode numbers shifted when the
+	// sampled mode was removed.
+	key := cache.NewKey("serve.subset", 3).
 		Bytes(e.FP[:]).
 		Bool(req.ClusteringEval).
 		Bool(req.Validate).
@@ -393,11 +394,6 @@ func (s *Server) computeSubset(ctx context.Context, e *workloadEntry, req Subset
 		opt.ValidationClocks = nil
 	}
 	opt.Subset.Method.Mode = mode
-	if mode == subset.ModeSampled {
-		// Sampled mode is mini-batch k-means; K derives from the
-		// default leader threshold.
-		opt.Subset.Method.Algo = subset.AlgoKMeans
-	}
 	opt.Workers = s.opt.Workers
 	opt.Cache = s.opt.Cache
 	sub, err := core.New(opt)

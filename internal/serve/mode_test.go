@@ -16,7 +16,7 @@ func TestSubsetModes(t *testing.T) {
 	h := s.Handler()
 	fp := upload(t, h, streamBody(t, tracetest.Tiny()))
 
-	for _, mode := range []string{"", "exact", "bucketed", "sampled", "streaming"} {
+	for _, mode := range []string{"", "exact", "bucketed", "streaming"} {
 		body := fmt.Sprintf(`{"workload":%q,"mode":%q}`, fp, mode)
 		rec := do(h, "POST", "/v1/subset", []byte(body))
 		if rec.Code != http.StatusOK {
@@ -31,15 +31,17 @@ func TestSubsetModes(t *testing.T) {
 		}
 	}
 
-	rec := do(h, "POST", "/v1/subset", []byte(fmt.Sprintf(`{"workload":%q,"mode":"turbo"}`, fp)))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("unknown mode: %d, want 400 (%s)", rec.Code, rec.Body)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
-		t.Fatal(err)
-	}
-	if eb.Class != "bad_request" {
-		t.Errorf("unknown mode class = %q, want bad_request", eb.Class)
+	for _, mode := range []string{"turbo", "sampled"} {
+		rec := do(h, "POST", "/v1/subset", []byte(fmt.Sprintf(`{"workload":%q,"mode":%q}`, fp, mode)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("unknown mode %q: %d, want 400 (%s)", mode, rec.Code, rec.Body)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+			t.Fatal(err)
+		}
+		if eb.Class != "bad_request" {
+			t.Errorf("unknown mode %q class = %q, want bad_request", mode, eb.Class)
+		}
 	}
 }

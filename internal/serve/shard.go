@@ -86,8 +86,7 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 	flightKey := "shardsweep:" + kb.Sum().String()
 	s.runQuery(w, r, flightKey, func(ctx context.Context) (any, error) {
 		cfgs := sweep.Grid(gpu.BaseConfig(), req.CoreClocks, req.MemClocks)
-		wk := shard.NewWorker(shard.WorkerOptions{Cache: s.opt.Cache, Owner: "subsetd"})
-		m, st, err := wk.Run(ctx, e.W, cfgs, spec)
+		m, st, err := shard.RunShard(ctx, s.opt.Cache, e.W, cfgs, spec)
 		if err != nil {
 			return nil, err
 		}

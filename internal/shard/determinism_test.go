@@ -3,8 +3,8 @@ package shard
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -31,24 +31,33 @@ func detProfiles() []synth.Profile {
 	return ps
 }
 
-// claimFiles lists leftover *.claim markers under a cache directory.
-func claimFiles(t testing.TB, cacheDir string) []string {
+// strayFiles lists every file under a cache directory that is not a
+// finished .s3dc entry — the debris a rerun would have to step around.
+func strayFiles(t testing.TB, cacheDir string) []string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(cacheDir, "*", "*.claim"))
+	var stray []string
+	err := filepath.WalkDir(cacheDir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && filepath.Ext(path) != ".s3dc" {
+			stray = append(stray, path)
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return paths
+	return stray
 }
 
 // sweepShards runs one worker per shard concurrently over a shared
 // cache directory and merges their manifests. Each worker opens its
 // OWN cache handle on the directory — the cross-process topology,
 // in-process, which is exactly what the race detector needs to see.
-func sweepShards(t testing.TB, w *trace.Workload, cfgs []gpu.Config, n int, cacheDir string) (*RunManifest, []WorkerStats) {
+// It returns each worker's stats and its cache handle's counters.
+func sweepShards(t testing.TB, w *trace.Workload, cfgs []gpu.Config, n int, cacheDir string) (*RunManifest, []WorkerStats, []cache.Stats) {
 	t.Helper()
 	manifests := make([]*Manifest, n)
 	stats := make([]WorkerStats, n)
+	cstats := make([]cache.Stats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -60,12 +69,8 @@ func sweepShards(t testing.TB, w *trace.Workload, cfgs []gpu.Config, n int, cach
 				errs[i] = err
 				return
 			}
-			wk := NewWorker(WorkerOptions{
-				Cache: c,
-				Owner: fmt.Sprintf("worker-%d", i),
-				Poll:  time.Millisecond,
-			})
-			manifests[i], stats[i], errs[i] = wk.Run(context.Background(), w, cfgs, Spec{Index: i, Count: n})
+			manifests[i], stats[i], errs[i] = RunShard(context.Background(), c, w, cfgs, Spec{Index: i, Count: n})
+			cstats[i] = c.Stats()
 		}(i)
 	}
 	wg.Wait()
@@ -78,7 +83,7 @@ func sweepShards(t testing.TB, w *trace.Workload, cfgs []gpu.Config, n int, cach
 	if err != nil {
 		t.Fatalf("merge %d shards: %v", n, err)
 	}
-	return rm, stats
+	return rm, stats, cstats
 }
 
 func encodeRM(t testing.TB, rm *RunManifest) []byte {
@@ -95,6 +100,8 @@ func encodeRM(t testing.TB, rm *RunManifest) []byte {
 // the sweep across 1, 2, 4 or 8 workers sharing one cache directory
 // and merging their manifests yields a run manifest byte-identical to
 // the uncached sequential fold — and a byte-identical rendered table.
+// On the cold directory every owned task costs exactly one cache
+// lookup: one miss, one computation.
 func TestShardedSweepByteIdenticalToSequential(t *testing.T) {
 	cfgs := testGrid(4, 2)
 	for _, p := range detProfiles() {
@@ -113,7 +120,7 @@ func TestShardedSweepByteIdenticalToSequential(t *testing.T) {
 				ref.Render(&refTable)
 				for _, n := range []int{1, 2, 4, 8} {
 					cacheDir := t.TempDir()
-					rm, stats := sweepShards(t, w, cfgs, n, cacheDir)
+					rm, stats, cstats := sweepShards(t, w, cfgs, n, cacheDir)
 					if got := encodeRM(t, rm); !bytes.Equal(got, refBytes) {
 						t.Fatalf("%d shards: merged manifest differs from sequential\nseq:    %s\nmerged: %s", n, refBytes, got)
 					}
@@ -123,14 +130,18 @@ func TestShardedSweepByteIdenticalToSequential(t *testing.T) {
 						t.Fatalf("%d shards: rendered table differs from sequential", n)
 					}
 					owned := 0
-					for _, s := range stats {
+					for i, s := range stats {
 						owned += s.Owned
+						if s.Computed != s.Owned || cstats[i].Misses != int64(s.Owned) {
+							t.Fatalf("%d shards, shard %d on a cold cache: stats %+v, %d misses; want computed == misses == owned",
+								n, i+1, s, cstats[i].Misses)
+						}
 					}
 					if owned != len(cfgs) {
 						t.Fatalf("%d shards own %d tasks, grid has %d", n, owned, len(cfgs))
 					}
-					if left := claimFiles(t, cacheDir); len(left) != 0 {
-						t.Fatalf("%d shards left claims behind: %v", n, left)
+					if stray := strayFiles(t, cacheDir); len(stray) != 0 {
+						t.Fatalf("%d shards left non-entry files behind: %v", n, stray)
 					}
 				}
 			})
@@ -138,69 +149,51 @@ func TestShardedSweepByteIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestCrashedWorkerResumedViaStaleClaim kills a worker mid-shard —
-// after it has claimed a task but before it prices it, the one window
-// where state leaks — then restarts it against the same cache
-// directory. The restart must detect the dead claim (counted in
-// Stats.StaleClaims), take the task over, and the final merge must
-// still be byte-identical to the sequential run.
-func TestCrashedWorkerResumedViaStaleClaim(t *testing.T) {
+// TestCrashedWorkerResumedFromCache reruns a shard over the cache
+// directory a killed worker left behind: the entries of the first k
+// tasks it owned, and nothing else. The rerun, with no special
+// options and under a short deadline, must serve those k tasks as
+// cache hits, price the rest, add nothing but entries to the
+// directory, and merge byte-identically with the sequential run.
+func TestCrashedWorkerResumedFromCache(t *testing.T) {
 	w := testWorkload(t, 7)
 	cfgs := testGrid(4, 2)
 	cacheDir := t.TempDir()
+	spec := Spec{Index: 0, Count: 2}
 
-	crashed := errors.New("simulated crash")
+	// Shard 1/2 owns seqs 0, 2, 4, 6; the killed worker finished the
+	// first two. Entries are keyed by (workload, config) alone, so
+	// pricing those configs stores exactly the entries it left.
+	const k = 2
 	c1, err := cache.New(cache.Config{Dir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := NewWorker(WorkerOptions{Cache: c1, Owner: "victim"})
-	var claims int
-	victim.hookAfterClaim = func(seq int) error {
-		claims++
-		if claims == 2 {
-			return crashed // die holding the second claim
-		}
-		return nil
+	if _, err := RunSequential(context.Background(), c1, w, []gpu.Config{cfgs[0], cfgs[2]}); err != nil {
+		t.Fatal(err)
 	}
-	spec := Spec{Index: 0, Count: 2}
-	if _, _, err := victim.Run(context.Background(), w, cfgs, spec); !errors.Is(err, crashed) {
-		t.Fatalf("victim run: %v, want simulated crash", err)
-	}
-	if left := claimFiles(t, cacheDir); len(left) != 1 {
-		t.Fatalf("crash should leave exactly the held claim, found %v", left)
-	}
+	c1.Flush()
 
-	// Restart: a short lease makes the debris immediately stale.
-	time.Sleep(20 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	c2, err := cache.New(cache.Config{Dir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restarted := NewWorker(WorkerOptions{Cache: c2, Owner: "restart", LeaseTTL: time.Millisecond})
-	m0, st, err := restarted.Run(context.Background(), w, cfgs, spec)
+	m0, st, err := RunShard(ctx, c2, w, cfgs, spec)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("rerun of the crashed shard: %v", err)
 	}
-	if got := c2.Stats().StaleClaims; got < 1 {
-		t.Fatalf("restart observed %d stale claims, want >= 1", got)
+	if st.CacheHits != k || st.Computed != st.Owned-k {
+		t.Fatalf("rerun stats %+v: want %d cache hits from pre-crash work and the rest computed", st, k)
 	}
-	// The task priced before the crash is served from cache, not
-	// repriced.
-	if st.CacheHits < 1 {
-		t.Fatalf("restart stats %+v: expected at least one cache hit from pre-crash work", st)
-	}
-	if left := claimFiles(t, cacheDir); len(left) != 0 {
-		t.Fatalf("claims left after restart: %v", left)
+	c2.Flush()
+	if stray := strayFiles(t, cacheDir); len(stray) != 0 {
+		t.Fatalf("rerun left non-entry files: %v", stray)
 	}
 
 	// The other shard, then the byte-identity check.
-	c3, err := cache.New(cache.Config{Dir: cacheDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := NewWorker(WorkerOptions{Cache: c3, Owner: "other"})
-	m1, _, err := other.Run(context.Background(), w, cfgs, Spec{Index: 1, Count: 2})
+	m1, _, err := RunShard(context.Background(), c2, w, cfgs, Spec{Index: 1, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,46 +206,16 @@ func TestCrashedWorkerResumedViaStaleClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeRM(t, rm), encodeRM(t, ref)) {
-		t.Fatal("merge after crash+restart differs from sequential")
-	}
-}
-
-// TestCanceledWorkerReleasesClaims: cancellation is not a crash — the
-// deferred release must clean the in-flight claim up, so a canceled
-// sweep leaves the cache directory claim-free (satellite: no stale
-// debris to age out on the next run).
-func TestCanceledWorkerReleasesClaims(t *testing.T) {
-	w := testWorkload(t, 7)
-	cfgs := testGrid(4, 2)
-	cacheDir := t.TempDir()
-	c, err := cache.New(cache.Config{Dir: cacheDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	wk := NewWorker(WorkerOptions{Cache: c, Owner: "canceled"})
-	wk.hookAfterClaim = func(seq int) error {
-		cancel() // the claim is held; pricing will see a dead context
-		return nil
-	}
-	_, _, err = wk.Run(ctx, w, cfgs, Spec{Index: 0, Count: 1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled run: %v, want context.Canceled", err)
-	}
-	if left := claimFiles(t, cacheDir); len(left) != 0 {
-		t.Fatalf("cancellation leaked claims: %v", left)
-	}
-	if got := c.Stats().StaleClaims; got != 0 {
-		t.Fatalf("clean cancellation should not count stale claims, got %d", got)
+		t.Fatal("merge after crash+rerun differs from sequential")
 	}
 }
 
 // TestOverlappingShardsAgree races two workers over the SAME full-grid
-// shard on one cache directory — every task double-claimed, every
-// lookup contended. Both must emit byte-identical manifests, and the
-// merge of the pair must equal the sequential run. Run under -race,
-// this is the claim protocol's data-race proof.
+// shard on one cache directory — every lookup contended, tasks priced
+// by both workers whenever both miss. Both must emit byte-identical
+// manifests, and the merge of the pair must equal the sequential run.
+// Run under -race, this proves duplicate computation is safe: the
+// duplicates are field-equal by construction.
 func TestOverlappingShardsAgree(t *testing.T) {
 	w := testWorkload(t, 1234)
 	cfgs := testGrid(4, 2)
@@ -271,12 +234,7 @@ func TestOverlappingShardsAgree(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			wk := NewWorker(WorkerOptions{
-				Cache: c,
-				Owner: fmt.Sprintf("twin-%d", i),
-				Poll:  time.Millisecond,
-			})
-			manifests[i], _, errs[i] = wk.Run(context.Background(), w, cfgs, full)
+			manifests[i], _, errs[i] = RunShard(context.Background(), c, w, cfgs, full)
 		}(i)
 	}
 	wg.Wait()
@@ -317,8 +275,7 @@ func TestWorkerWithoutCache(t *testing.T) {
 	cfgs := testGrid(2, 2)
 	var manifests []*Manifest
 	for i := 0; i < 2; i++ {
-		wk := NewWorker(WorkerOptions{})
-		m, st, err := wk.Run(context.Background(), w, cfgs, Spec{Index: i, Count: 2})
+		m, st, err := RunShard(context.Background(), nil, w, cfgs, Spec{Index: i, Count: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,8 +313,7 @@ func TestSequentialWarmsShardsAndViceVersa(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Flush()
-	wk := NewWorker(WorkerOptions{Cache: c, Owner: "warmed"})
-	m, st, err := wk.Run(context.Background(), w, cfgs, Spec{Index: 0, Count: 1})
+	m, st, err := RunShard(context.Background(), c, w, cfgs, Spec{Index: 0, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

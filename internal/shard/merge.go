@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/gpu"
-	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -211,9 +210,10 @@ func Merge(ms []*Manifest) (*RunManifest, error) {
 // RunSequential prices the whole grid in-process, in grid order, and
 // folds it with the same foldRun the merge path uses. This is the
 // reference the determinism suite compares every sharded run against;
-// it is also gpusim's single-process sweep mode. A non-nil cache is
-// consulted and populated exactly like a worker's, so sequential and
-// sharded runs interoperate on one cache directory.
+// it is also gpusim's single-process sweep mode. Each task resolves
+// through the same lookup-or-compute as a shard's, so sequential and
+// sharded runs interoperate on one cache directory; like RunShard, ctx
+// must not carry a cache binding.
 func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu.Config) (*RunManifest, error) {
 	fp := w.Fingerprint()
 	tasks, grid, err := Plan(fp, cfgs)
@@ -224,24 +224,13 @@ func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs 
 	if err != nil {
 		return nil, err
 	}
-	cctx := cache.WithWorkload(ctx, c, fp)
 	entries := make([]Entry, 0, len(tasks))
 	for _, t := range tasks {
-		_, priced, err := sweep.PriceConfig(cctx, base, w, t.Config, t.Seq, len(tasks))
+		e, _, err := resolveTask(ctx, c, base, w, t, len(tasks))
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, Entry{
-			Seq:          t.Seq,
-			CoreClockGHz: t.Config.CoreClockGHz,
-			MemClockGHz:  t.Config.MemClockGHz,
-			ConfigFP:     t.Config.Fingerprint(),
-			Key:          t.Key,
-			Frames:       len(priced.FrameNs),
-			FrameDigest:  frameDigest(priced.FrameNs),
-			TotalNs:      priced.TotalNs,
-			Totals:       priced.Totals,
-		})
+		entries = append(entries, e)
 	}
 	return foldRun(fp, grid, len(tasks), entries)
 }

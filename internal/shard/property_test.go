@@ -11,13 +11,12 @@ import (
 	"repro/internal/trace"
 )
 
-// fullManifest runs one cacheless full-grid worker and returns its
+// fullManifest runs one cacheless full-grid shard and returns its
 // manifest — the complete entry set every partition below is carved
 // from.
 func fullManifest(t *testing.T, w *trace.Workload, cfgs []gpu.Config) *Manifest {
 	t.Helper()
-	wk := NewWorker(WorkerOptions{})
-	m, _, err := wk.Run(context.Background(), w, cfgs, Spec{Index: 0, Count: 1})
+	m, _, err := RunShard(context.Background(), nil, w, cfgs, Spec{Index: 0, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

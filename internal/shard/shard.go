@@ -7,9 +7,9 @@
 // deterministically ordered list of tasks (grid order, exactly the
 // fold order of the sequential path), and a shard spec "i/n" owns
 // every task whose sequence number is congruent to i-1 mod n. Each
-// worker claims its tasks by content-addressed cache key
-// (sweep.PriceKey), prices them into the shared cache, and emits a
-// per-shard manifest. A reducer (Merge) folds any set of manifests
+// worker resolves its tasks by content-addressed cache key
+// (sweep.PriceKey) with one lookup-or-compute, pricing misses into the
+// shared cache, and emits a per-shard manifest. A reducer (Merge) folds any set of manifests
 // covering the grid back into one run manifest, folding in grid order
 // — so the merged result is byte-identical to the sequential run no
 // matter how the grid was partitioned, how many workers ran, or how
@@ -18,7 +18,7 @@
 // Nothing here is allowed to change results. The determinism suite in
 // this package proves sharded == sequential byte-identity across
 // profiles, seeds and shard counts, including a worker killed
-// mid-shard and fully overlapping (double-claiming) shards.
+// mid-shard and fully overlapping (duplicate-computing) shards.
 package shard
 
 import (

@@ -21,11 +21,6 @@ const (
 	// just occasionally a little larger.
 	ModeBucketed
 
-	// ModeSampled runs mini-batch k-means: each iteration updates
-	// centers from a random sample of Method.BatchSize draws instead of
-	// the full frame. Sub-linear in draws per iteration.
-	ModeSampled
-
 	// ModeStreaming clusters draws one at a time with a one-pass
 	// leader variant and never materializes the frame's feature
 	// matrix: O(dims + K x dims) working memory regardless of draw
@@ -40,8 +35,6 @@ func (m Mode) String() string {
 		return "exact"
 	case ModeBucketed:
 		return "bucketed"
-	case ModeSampled:
-		return "sampled"
 	case ModeStreaming:
 		return "streaming"
 	default:
@@ -57,11 +50,9 @@ func ParseMode(s string) (Mode, error) {
 		return ModeExact, nil
 	case "bucketed":
 		return ModeBucketed, nil
-	case "sampled":
-		return ModeSampled, nil
 	case "streaming":
 		return ModeStreaming, nil
 	default:
-		return ModeExact, fmt.Errorf("subset: unknown cluster mode %q (want exact, bucketed, sampled or streaming)", s)
+		return ModeExact, fmt.Errorf("subset: unknown cluster mode %q (want exact, bucketed or streaming)", s)
 	}
 }

@@ -12,7 +12,6 @@ func TestParseMode(t *testing.T) {
 		"":          ModeExact,
 		"exact":     ModeExact,
 		"bucketed":  ModeBucketed,
-		"sampled":   ModeSampled,
 		"streaming": ModeStreaming,
 	}
 	for s, want := range good {
@@ -24,20 +23,19 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("Mode(%v).String() = %q, want %q (round trip)", got, got.String(), s)
 		}
 	}
-	if _, err := ParseMode("turbo"); err == nil {
-		t.Error("ParseMode accepted unknown mode")
+	for _, s := range []string{"turbo", "sampled"} {
+		if _, err := ParseMode(s); err == nil {
+			t.Errorf("ParseMode accepted unknown mode %q", s)
+		}
 	}
 }
 
 func TestModeValidation(t *testing.T) {
 	bad := map[string]Method{
-		"bucketed kmeans":     {Algo: AlgoKMeans, K: 5, MaxIter: 10, Mode: ModeBucketed},
-		"sampled leader":      {Algo: AlgoLeader, Threshold: 1, Mode: ModeSampled},
-		"sampled agglo":       {Algo: AlgoAgglomerative, Threshold: 1, Mode: ModeSampled},
-		"streaming kmeans":    {Algo: AlgoKMeans, K: 5, MaxIter: 10, Mode: ModeStreaming},
-		"streaming pca":       {Algo: AlgoLeader, Threshold: 1, Mode: ModeStreaming, PCAComponents: 3},
-		"negative batch size": {Algo: AlgoKMeans, K: 5, MaxIter: 10, Mode: ModeSampled, BatchSize: -1},
-		"unknown mode":        {Algo: AlgoLeader, Threshold: 1, Mode: Mode(99)},
+		"bucketed kmeans":  {Algo: AlgoKMeans, K: 5, MaxIter: 10, Mode: ModeBucketed},
+		"streaming kmeans": {Algo: AlgoKMeans, K: 5, MaxIter: 10, Mode: ModeStreaming},
+		"streaming pca":    {Algo: AlgoLeader, Threshold: 1, Mode: ModeStreaming, PCAComponents: 3},
+		"unknown mode":     {Algo: AlgoLeader, Threshold: 1, Mode: Mode(99)},
 	}
 	for name, m := range bad {
 		if m.validate() == nil {
@@ -47,8 +45,6 @@ func TestModeValidation(t *testing.T) {
 	good := []Method{
 		{Algo: AlgoLeader, Threshold: 1, Mode: ModeBucketed},
 		{Algo: AlgoAgglomerative, Threshold: 1, Mode: ModeBucketed},
-		{Algo: AlgoKMeans, Threshold: 1, MaxIter: 10, Mode: ModeSampled},
-		{Algo: AlgoKMeans, K: 5, MaxIter: 10, Mode: ModeSampled, BatchSize: 64},
 		{Algo: AlgoLeader, Threshold: 1, Mode: ModeStreaming},
 	}
 	for _, m := range good {
@@ -58,29 +54,20 @@ func TestModeValidation(t *testing.T) {
 	}
 }
 
-// Mode and BatchSize must feed the cache key: two methods differing
-// only in hot-path strategy cluster differently and cannot share
-// cached results.
+// Mode must feed the cache key: two methods differing only in hot-path
+// strategy cluster differently and cannot share cached results.
 func TestModeChangesCacheKey(t *testing.T) {
 	base := DefaultMethod()
 	variants := []Method{base, base, base}
 	variants[1].Mode = ModeBucketed
-	variants[2].Mode = ModeSampled
-	variants[2].Algo = AlgoKMeans
-	variants[2].MaxIter = 10
-	withBatch := variants[2]
-	withBatch.BatchSize = 128
-	variants = append(variants, withBatch)
+	variants[2].Mode = ModeStreaming
 	seen := map[string]int{}
 	for i, m := range variants {
 		k := m.keyInto(cache.NewKey("test", 1)).Sum().String()
-		if j, dup := seen[k]; dup && i != 1 {
+		if j, dup := seen[k]; dup {
 			t.Errorf("methods %d and %d share a cache key", j, i)
 		}
 		seen[k] = i
-	}
-	if len(seen) != 4 {
-		t.Errorf("got %d distinct keys, want 4", len(seen))
 	}
 }
 
@@ -93,7 +80,6 @@ func TestClusterFrameModes(t *testing.T) {
 	modes := []Method{
 		{Algo: AlgoLeader, Threshold: 0.5, Normalizer: "zscore", Mode: ModeBucketed},
 		{Algo: AlgoAgglomerative, Threshold: 0.5, Normalizer: "zscore", Mode: ModeBucketed},
-		{Algo: AlgoKMeans, Threshold: 0.5, MaxIter: 25, Normalizer: "zscore", Mode: ModeSampled},
 		{Algo: AlgoLeader, Threshold: 0.5, Normalizer: "zscore", Mode: ModeStreaming},
 		{Algo: AlgoLeader, Threshold: 0.5, Normalizer: "minmax", Mode: ModeStreaming},
 		{Algo: AlgoLeader, Threshold: 3.0, Normalizer: "none", Mode: ModeStreaming},

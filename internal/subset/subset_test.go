@@ -1,6 +1,7 @@
 package subset
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -35,6 +36,16 @@ func testOracle(t *testing.T, w *trace.Workload) *gpu.Simulator {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// parentNs prices the whole parent workload on sim.
+func parentNs(t *testing.T, sim *gpu.Simulator) float64 {
+	t.Helper()
+	res, err := sim.RunParallel(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.TotalNs
 }
 
 func TestDefaultMethodValid(t *testing.T) {
@@ -179,7 +190,7 @@ func TestSubsetEstimatesParentCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent := sim.Run().TotalNs
+	parent := parentNs(t, sim)
 	est := s.EstimateParentNs(sim)
 	relErr := math.Abs(est-parent) / parent
 	if relErr > 0.10 {
@@ -201,7 +212,7 @@ func TestSubsetScalingTracksParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parentT = append(parentT, sim.Run().TotalNs)
+		parentT = append(parentT, parentNs(t, sim))
 		subsetT = append(subsetT, s.EstimateParentNs(sim))
 	}
 	parentSpeedup := make([]float64, len(parentT))
@@ -338,7 +349,7 @@ func TestBuildMultipleFramesPerPhase(t *testing.T) {
 	// Both subsets must remain usable estimators; which one is closer
 	// on a given seed is frame-selection luck.
 	sim := testOracle(t, w)
-	parent := sim.Run().TotalNs
+	parent := parentNs(t, sim)
 	e1 := math.Abs(s1.EstimateParentNs(sim)-parent) / parent
 	e2 := math.Abs(s2.EstimateParentNs(sim)-parent) / parent
 	if e1 > 0.10 || e2 > 0.10 {

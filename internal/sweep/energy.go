@@ -34,18 +34,12 @@ type EnergyResult struct {
 	Agreement       bool
 }
 
-// RunEnergy prices the parent and the subset's reconstruction on every
-// config under the power model, and compares min-EDP decisions. The
-// grid fans out across GOMAXPROCS workers; use RunEnergyParallel to
-// bound the fan-out or cancel mid-sweep.
-func RunEnergy(w *trace.Workload, s *subset.Subset, pm gpu.PowerModel, cfgs []gpu.Config) (EnergyResult, error) {
-	return RunEnergyParallel(context.Background(), w, s, pm, cfgs, 0)
-}
-
-// RunEnergyParallel is RunEnergy with cancellation and at most workers
-// goroutines (<= 0 selects GOMAXPROCS), one config per task. The
-// min-EDP argmin is taken sequentially over the points in grid order,
-// so the decision is bit-identical at any worker count.
+// RunEnergyParallel prices the parent and the subset's reconstruction
+// on every config under the power model, and compares min-EDP
+// decisions. It fans out across at most workers goroutines (<= 0
+// selects GOMAXPROCS), one config per task. The min-EDP argmin is
+// taken sequentially over the points in grid order, so the decision is
+// bit-identical at any worker count.
 func RunEnergyParallel(ctx context.Context, w *trace.Workload, s *subset.Subset, pm gpu.PowerModel, cfgs []gpu.Config, workers int) (EnergyResult, error) {
 	if err := pm.Validate(); err != nil {
 		return EnergyResult{}, err

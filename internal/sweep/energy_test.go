@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestRunEnergySweep(t *testing.T) {
 	w, s := sweepGame(t)
 	pm := gpu.DefaultPowerModel()
 	cfgs := CoreClockSweep(gpu.BaseConfig(), []float64{0.5, 1.0, 1.5, 2.0})
-	res, err := RunEnergy(w, s, pm, cfgs)
+	res, err := RunEnergyParallel(context.Background(), w, s, pm, cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestRunEnergyEDPNotMonotone(t *testing.T) {
 	w, s := sweepGame(t)
 	pm := gpu.DefaultPowerModel()
 	cfgs := CoreClockSweep(gpu.BaseConfig(), []float64{0.5, 2.0})
-	res, err := RunEnergy(w, s, pm, cfgs)
+	res, err := RunEnergyParallel(context.Background(), w, s, pm, cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +63,10 @@ func TestRunEnergyValidation(t *testing.T) {
 	w, s := sweepGame(t)
 	bad := gpu.DefaultPowerModel()
 	bad.CoreDynW = 0
-	if _, err := RunEnergy(w, s, bad, CoreClockSweep(gpu.BaseConfig(), []float64{0.5, 1})); err == nil {
+	if _, err := RunEnergyParallel(context.Background(), w, s, bad, CoreClockSweep(gpu.BaseConfig(), []float64{0.5, 1}), 0); err == nil {
 		t.Error("invalid power model accepted")
 	}
-	if _, err := RunEnergy(w, s, gpu.DefaultPowerModel(), CoreClockSweep(gpu.BaseConfig(), []float64{1})); err == nil {
+	if _, err := RunEnergyParallel(context.Background(), w, s, gpu.DefaultPowerModel(), CoreClockSweep(gpu.BaseConfig(), []float64{1}), 0); err == nil {
 		t.Error("single config accepted")
 	}
 }

@@ -23,10 +23,10 @@ type PricedParent struct {
 
 // PriceKey is the content address of PriceParent's product: the cache
 // key under which pricing workload fp on cfg is stored. It is exported
-// because the shard layer claims and resolves distributed work by
-// exactly this key — a worker and the sequential path must always
-// agree on the address or sharded runs would recompute (or worse,
-// miss) the sequential path's entries.
+// because the shard layer resolves distributed work by exactly this
+// key — a worker and the sequential path must always agree on the
+// address or sharded runs would recompute (or worse, miss) the
+// sequential path's entries.
 func PriceKey(fp trace.Fingerprint, cfg gpu.Config) cache.Key {
 	cfgFp := cfg.Fingerprint()
 	return cache.NewKey("sweep.price", gpu.ModelVersion).
@@ -42,7 +42,7 @@ func PriceKey(fp trace.Fingerprint, cfg gpu.Config) cache.Key {
 // skips the full per-draw pricing pass — the dominant cost of a grid
 // sweep. Without a binding it prices directly. sim must have been
 // built on w with cfg; the float accumulation order matches
-// Simulator.Run exactly, so cached and direct pricing are
+// Simulator.RunParallel exactly, so cached and direct pricing are
 // bit-identical.
 func PriceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfg gpu.Config) (PricedParent, error) {
 	c, fp, ok := cache.ForWorkload(ctx)
@@ -75,7 +75,7 @@ func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cf
 
 // priceParent is one full pricing pass with per-frame cancellation.
 // Per-frame times sum draws in order and the total sums frames in
-// order — the same accumulation as Simulator.RunContext and RunTotals.
+// order — the same accumulation as Simulator.RunParallel and RunTotals.
 func priceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload) (PricedParent, error) {
 	p := PricedParent{FrameNs: make([]float64, len(w.Frames))}
 	for i := range w.Frames {
@@ -88,7 +88,7 @@ func priceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload) (Pr
 			tn, cn, mn, tb := sim.DrawTotals(&f.Draws[di])
 			frameNs += tn
 			// Totals folds per draw (as Simulator.RunTotals does) while
-			// TotalNs folds per frame (as Simulator.RunContext does), so
+			// TotalNs folds per frame (as Simulator.RunParallel does), so
 			// both views are bit-identical to their uncached originals.
 			p.Totals.TotalNs += tn
 			p.Totals.ComputeNs += cn

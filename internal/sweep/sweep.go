@@ -83,23 +83,12 @@ type Result struct {
 	RankCorrelation float64
 }
 
-// Run prices the parent and the subset's parent-estimate on every
-// config.
-func Run(w *trace.Workload, s *subset.Subset, cfgs []gpu.Config) (Result, error) {
-	return RunContext(context.Background(), w, s, cfgs)
-}
-
-// RunContext is Run with cancellation, fanning out across GOMAXPROCS
-// workers; use RunParallel to bound the fan-out.
-func RunContext(ctx context.Context, w *trace.Workload, s *subset.Subset, cfgs []gpu.Config) (Result, error) {
-	return RunParallel(ctx, w, s, cfgs, 0)
-}
-
-// RunParallel prices the grid with at most workers goroutines
-// (<= 0 selects GOMAXPROCS), one configuration per task: pricing a
-// large grid on a long parent is the most expensive loop in the
-// system, and every configuration's pricing is independent — each task
-// builds its own simulator and writes only its own grid point. The
+// RunParallel prices the parent and the subset's parent-estimate on
+// every config with at most workers goroutines (<= 0 selects
+// GOMAXPROCS), one configuration per task: pricing a large grid on a
+// long parent is the most expensive loop in the system, and every
+// configuration's pricing is independent — each task builds its own
+// simulator and writes only its own grid point. The
 // correlation statistics are folded sequentially over the points in
 // grid order, so the Result is bit-identical at any worker count.
 // Cancellation is checked once per parent frame inside each pricing
@@ -167,22 +156,10 @@ func Decide(res Result) Decision {
 	return d
 }
 
-// SubsetOnly prices just the subset across configs — the production
-// pathfinding mode where the parent is never simulated. Returns the
-// subset's parent-estimates per config.
-func SubsetOnly(s *subset.Subset, cfgs []gpu.Config) ([]float64, error) {
-	return SubsetOnlyContext(context.Background(), s, cfgs)
-}
-
-// SubsetOnlyContext is SubsetOnly with per-config cancellation across
-// GOMAXPROCS workers; use SubsetOnlyParallel to bound the fan-out.
-func SubsetOnlyContext(ctx context.Context, s *subset.Subset, cfgs []gpu.Config) ([]float64, error) {
-	return SubsetOnlyParallel(ctx, s, cfgs, 0)
-}
-
-// SubsetOnlyParallel prices the subset on each config with at most
-// workers goroutines (<= 0 selects GOMAXPROCS); estimates land in grid
-// order.
+// SubsetOnlyParallel prices just the subset across configs — the
+// production pathfinding mode where the parent is never simulated —
+// with at most workers goroutines (<= 0 selects GOMAXPROCS). It
+// returns the subset's parent-estimates in grid order.
 func SubsetOnlyParallel(ctx context.Context, s *subset.Subset, cfgs []gpu.Config, workers int) ([]float64, error) {
 	if len(cfgs) == 0 {
 		return nil, nil

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestSweepConstructors(t *testing.T) {
 
 func TestRunCoreSweep(t *testing.T) {
 	w, s := sweepGame(t)
-	res, err := Run(w, s, CoreClockSweep(gpu.BaseConfig(), []float64{0.5, 1.0, 2.0}))
+	res, err := RunParallel(context.Background(), w, s, CoreClockSweep(gpu.BaseConfig(), []float64{0.5, 1.0, 2.0}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestRunCoreSweep(t *testing.T) {
 
 func TestRunNeedsTwoConfigs(t *testing.T) {
 	w, s := sweepGame(t)
-	if _, err := Run(w, s, CoreClockSweep(gpu.BaseConfig(), []float64{1.0})); err == nil {
+	if _, err := RunParallel(context.Background(), w, s, CoreClockSweep(gpu.BaseConfig(), []float64{1.0}), 0); err == nil {
 		t.Error("single-config sweep accepted")
 	}
 }
@@ -100,7 +101,7 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	w, s := sweepGame(t)
 	bad := gpu.BaseConfig()
 	bad.CoreClockGHz = -1
-	if _, err := Run(w, s, []gpu.Config{bad, gpu.BaseConfig()}); err == nil {
+	if _, err := RunParallel(context.Background(), w, s, []gpu.Config{bad, gpu.BaseConfig()}, 0); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -125,7 +126,7 @@ func TestDecide(t *testing.T) {
 func TestDecisionAgreementOnRealSweep(t *testing.T) {
 	w, s := sweepGame(t)
 	grid := Grid(gpu.BaseConfig(), []float64{0.5, 1.0, 2.0}, []float64{0.5, 1.0})
-	res, err := Run(w, s, grid)
+	res, err := RunParallel(context.Background(), w, s, grid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,17 +139,17 @@ func TestDecisionAgreementOnRealSweep(t *testing.T) {
 func TestSubsetOnlyMatchesRun(t *testing.T) {
 	w, s := sweepGame(t)
 	cfgs := CoreClockSweep(gpu.BaseConfig(), []float64{0.5, 1.0})
-	res, err := Run(w, s, cfgs)
+	res, err := RunParallel(context.Background(), w, s, cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	only, err := SubsetOnly(s, cfgs)
+	only, err := SubsetOnlyParallel(context.Background(), s, cfgs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range only {
 		if math.Abs(only[i]-res.Points[i].SubsetNs) > 1e-6 {
-			t.Errorf("point %d: SubsetOnly %v != Run %v", i, only[i], res.Points[i].SubsetNs)
+			t.Errorf("point %d: SubsetOnlyParallel %v != RunParallel %v", i, only[i], res.Points[i].SubsetNs)
 		}
 	}
 }
@@ -158,11 +159,11 @@ func TestMemSweepShapesDiffer(t *testing.T) {
 	// (compute- vs memory-bound sensitivity) — otherwise the two
 	// domains are degenerate and E11 is meaningless.
 	w, s := sweepGame(t)
-	core, err := Run(w, s, CoreClockSweep(gpu.BaseConfig(), []float64{0.5, 1.0, 2.0}))
+	core, err := RunParallel(context.Background(), w, s, CoreClockSweep(gpu.BaseConfig(), []float64{0.5, 1.0, 2.0}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := Run(w, s, MemClockSweep(gpu.BaseConfig(), []float64{0.5, 1.0, 2.0}))
+	mem, err := RunParallel(context.Background(), w, s, MemClockSweep(gpu.BaseConfig(), []float64{0.5, 1.0, 2.0}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
