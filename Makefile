@@ -101,13 +101,13 @@ bench-cache:
 	$(GO) run ./cmd/benchjson -match '^CacheSweep' -o BENCH_cache.json < bench-cache.out
 
 # bench-hotpath regenerates BENCH_hotpath.json: per-draw clustering
-# throughput of each hot-path arm against the frozen pre-optimization
-# reference (path=naive), recorded as machine-independent
-# speedup_vs_naive ratios. Run it on a quiet machine when updating the
-# checked-in baseline.
+# (HotPath) and pricing (Oracle) throughput of each hot-path arm
+# against its frozen pre-optimization reference (path=naive), recorded
+# as machine-independent speedup_vs_naive ratios. Run it on a quiet
+# machine when updating the checked-in baseline.
 bench-hotpath:
-	$(GO) test -bench='^BenchmarkHotPath$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee bench-hotpath.out
-	$(GO) run ./cmd/benchjson -match '^HotPath' -o BENCH_hotpath.json < bench-hotpath.out
+	$(GO) test -bench='^Benchmark(HotPath|Oracle)$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | tee bench-hotpath.out
+	$(GO) run ./cmd/benchjson -match '^(HotPath|Oracle)' -o BENCH_hotpath.json < bench-hotpath.out
 
 # bench-hotpath-check is the CI regression gate: re-measure the
 # speedup ratios and compare against the checked-in BENCH_hotpath.json.
@@ -116,11 +116,12 @@ bench-hotpath:
 # and the floors pin what must hold regardless of noise: the exact
 # path within 10% of the frozen seed path (exact >= 0.9x naive), the
 # bucketed arm still decisively sub-linear (>= 3.5x), streaming still
-# ahead of naive (>= 1.3x).
+# ahead of naive (>= 1.3x), and the flat pricing oracle at least twice
+# the frozen map-and-mip-walk oracle (Oracle/flat >= 2x).
 bench-hotpath-check:
-	$(GO) test -bench='^BenchmarkHotPath$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | $(GO) run ./cmd/benchjson -match '^HotPath' -o bench-hotpath-new.json
+	$(GO) test -bench='^Benchmark(HotPath|Oracle)$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | $(GO) run ./cmd/benchjson -match '^(HotPath|Oracle)' -o bench-hotpath-new.json
 	$(GO) run ./cmd/benchguard -in bench-hotpath-new.json -baseline BENCH_hotpath.json -max-regress 0.25 \
-	  -min HotPath/exact=0.9 -min HotPath/bucketed=3.5 -min HotPath/streaming=1.3
+	  -min HotPath/exact=0.9 -min HotPath/bucketed=3.5 -min HotPath/streaming=1.3 -min Oracle/flat=2.0
 
 # bench-shard regenerates BENCH_shard.json: the 32-config grid sweep
 # split across 2/4/8 shard workers versus the sequential path

@@ -36,15 +36,15 @@ func (s *Simulator) DetailedTexTraffic(d *trace.DrawCall, maxSamples int) (Detai
 	if maxSamples <= 0 {
 		return DetailedTexResult{}, fmt.Errorf("gpu: maxSamples %d <= 0", maxSamples)
 	}
-	psPC, ok := s.progs[d.PS]
+	psPC, ok := s.res.progs.lookup(d.PS)
 	if !ok {
 		return DetailedTexResult{}, fmt.Errorf("gpu: draw references unknown PS %d", d.PS)
 	}
-	rt, err := s.w.RenderTarget(d.RT)
-	if err != nil {
-		return DetailedTexResult{}, err
+	rt, ok := s.res.rt(d.RT)
+	if !ok {
+		return DetailedTexResult{}, fmt.Errorf("gpu: draw references unknown render target %d", d.RT)
 	}
-	shaded := d.CoverageFrac * float64(rt.Pixels()) * d.Overdraw
+	shaded := d.CoverageFrac * rt.pixels * d.Overdraw
 	samples := shaded * psPC.texPerElem
 	if samples <= 0 {
 		return DetailedTexResult{Samples: 0, HitRate: 1}, nil
@@ -54,11 +54,11 @@ func (s *Simulator) DetailedTexTraffic(d *trace.DrawCall, maxSamples int) (Detai
 		if tid == 0 {
 			continue
 		}
-		tex, err := s.w.Texture(tid)
-		if err != nil {
-			return DetailedTexResult{}, err
+		fp, ok := s.res.texFootprint(tid)
+		if !ok {
+			return DetailedTexResult{}, fmt.Errorf("gpu: draw references unknown texture %d", tid)
 		}
-		ws += float64(tex.Footprint())
+		ws += fp
 	}
 	ws *= d.TexLocality
 	if maxWS := samples * texelBytes; ws > maxWS {

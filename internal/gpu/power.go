@@ -121,8 +121,9 @@ func (t *Totals) Add(dc DrawCost, weight float64) {
 // DrawTotals returns the components the power model needs for one
 // draw. This is the subset.TotalsOracle method.
 func (s *Simulator) DrawTotals(d *trace.DrawCall) (totalNs, computeNs, memoryNs, trafficBytes float64) {
-	dc := s.DrawCost(d)
-	return dc.TotalNs, dc.ComputeNs, dc.MemoryNs, dc.TrafficBytes()
+	var dc DrawCost
+	s.price(d, &dc)
+	return dc.TotalNs, dc.ComputeNs, dc.MemoryNs, dc.traffic()
 }
 
 // RunTotals prices the whole workload and returns both the per-frame

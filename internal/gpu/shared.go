@@ -51,7 +51,7 @@ func (s *Simulator) FrameDetailed(f *trace.Frame, maxSamplesPerDraw int) (Detail
 		dc := s.DrawCost(d) // analytic stage costs + isolated texture model
 		res.ContextFreeNs += dc.TotalNs
 
-		psPC := s.progs[d.PS]
+		psPC, _ := s.res.progs.lookup(d.PS) // DrawCost panicked if unknown
 		samples := dc.ShadedPixels * psPC.texPerElem
 		if samples > 0 {
 			measured, err := s.replayShared(cache, d, samples, maxSamplesPerDraw, regionBytes)
@@ -82,11 +82,11 @@ func (s *Simulator) replayShared(cache *TexCache, d *trace.DrawCall, samples flo
 		if tid == 0 {
 			continue
 		}
-		tex, err := s.w.Texture(tid)
-		if err != nil {
-			return 0, err
+		fp, ok := s.res.texFootprint(tid)
+		if !ok {
+			return 0, fmt.Errorf("gpu: draw references unknown texture %d", tid)
 		}
-		touched := float64(tex.Footprint()) * d.TexLocality
+		touched := fp * d.TexLocality
 		texels := uint64(touched / texelBytes)
 		if texels == 0 {
 			continue

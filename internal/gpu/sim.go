@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/parallel"
-	"repro/internal/shader"
 	"repro/internal/trace"
 )
 
@@ -41,7 +40,11 @@ type DrawCost struct {
 }
 
 // TrafficBytes returns total DRAM traffic for the draw.
-func (dc DrawCost) TrafficBytes() float64 {
+func (dc DrawCost) TrafficBytes() float64 { return dc.traffic() }
+
+// traffic is TrafficBytes through a pointer: the value receiver would
+// copy the whole DrawCost on every finalize.
+func (dc *DrawCost) traffic() float64 {
 	return dc.VertexBytes + dc.TexBytes + dc.RTBytes + dc.DepthBytes
 }
 
@@ -66,16 +69,32 @@ func (dc DrawCost) BottleneckStage() string {
 }
 
 // Simulator prices draw calls of one workload on one config. It
-// pre-analyzes every shader program once; pricing a draw is then O(1).
-// A Simulator is safe for concurrent DrawCost calls after construction.
+// reduces the workload's shader programs and resource tables to flat
+// per-workload terms once; pricing a draw is then O(1) slice-indexed
+// arithmetic. A Simulator is safe for concurrent DrawCost calls after
+// construction.
 type Simulator struct {
-	cfg   Config
-	w     *trace.Workload
-	progs map[shader.ID]programCost
+	cfg Config
+	w   *trace.Workload
+	res resources
+
+	// Per-config constants of the kernel, derived from cfg once.
+	shaderRate    float64
+	bandwidthGBs  float64
+	texCacheBytes int
 }
 
-// NewSimulator validates the config and workload and pre-prices all
-// shader programs.
+func newSimulator(cfg Config, w *trace.Workload, res resources) *Simulator {
+	return &Simulator{
+		cfg: cfg, w: w, res: res,
+		shaderRate:    cfg.ShaderRate(),
+		bandwidthGBs:  cfg.BandwidthGBs(),
+		texCacheBytes: cfg.TexCacheKB * 1024,
+	}
+}
+
+// NewSimulator validates the config and workload and builds the
+// config-independent resource terms (see resources).
 func NewSimulator(cfg Config, w *trace.Workload) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -83,20 +102,16 @@ func NewSimulator(cfg Config, w *trace.Workload) (*Simulator, error) {
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("gpu: %w", err)
 	}
-	progs := make(map[shader.ID]programCost, w.Shaders.Len())
-	for _, p := range w.Shaders.Programs() {
-		progs[p.ID] = analyzeProgram(p)
-	}
-	return &Simulator{cfg: cfg, w: w, progs: progs}, nil
+	return newSimulator(cfg, w, newResources(w)), nil
 }
 
 // Config returns the simulated configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
 // WithConfig derives a simulator for another configuration over the
-// same workload. Workload validation and shader analysis depend only
-// on the workload, so both are shared with the receiver: deriving a
-// config is O(1) where NewSimulator walks every draw. Grid sweeps
+// same workload. Workload validation and the resource terms depend
+// only on the workload, so both are shared with the receiver: deriving
+// a config is O(1) where NewSimulator walks every draw. Grid sweeps
 // construct one base simulator and derive the rest — without this, a
 // warm result cache would still pay a full workload walk per config
 // just to build the thing it never asks to price.
@@ -104,37 +119,44 @@ func (s *Simulator) WithConfig(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Simulator{cfg: cfg, w: s.w, progs: s.progs}, nil
+	return newSimulator(cfg, s.w, s.res), nil
 }
 
 // DrawCost prices one draw call. The draw must reference resources of
 // the simulator's workload (subset draws qualify: subsets share their
 // parent's resource tables). It panics on dangling references because
 // those indicate a corrupted subset, not a runtime condition.
-func (s *Simulator) DrawCost(d *trace.DrawCall) DrawCost {
+func (s *Simulator) DrawCost(d *trace.DrawCall) (dc DrawCost) {
+	s.price(d, &dc)
+	return dc
+}
+
+// price is the per-draw kernel behind DrawCost, DrawNs, DrawTotals and
+// FrameNs. It fills a zero *dc in place, so callers that keep a few
+// fields do not copy the whole DrawCost per draw.
+func (s *Simulator) price(d *trace.DrawCall, dc *DrawCost) {
 	cfg := &s.cfg
-	vsPC, ok := s.progs[d.VS]
+	vsPC, ok := s.res.progs.lookup(d.VS)
 	if !ok {
 		panic(fmt.Sprintf("gpu: draw references unknown VS %d", d.VS))
 	}
-	psPC, ok := s.progs[d.PS]
+	psPC, ok := s.res.progs.lookup(d.PS)
 	if !ok {
 		panic(fmt.Sprintf("gpu: draw references unknown PS %d", d.PS))
 	}
-	rt, err := s.w.RenderTarget(d.RT)
-	if err != nil {
-		panic(fmt.Sprintf("gpu: %v", err))
+	rt, ok := s.res.rt(d.RT)
+	if !ok {
+		panic(fmt.Sprintf("gpu: draw references unknown render target %d", d.RT))
 	}
 
-	var dc DrawCost
 	verts := float64(d.TotalVertices())
 	prims := float64(d.TotalPrimitives())
-	covered := d.CoverageFrac * float64(rt.Pixels())
+	covered := d.CoverageFrac * rt.pixels
 	dc.ShadedPixels = covered * d.Overdraw
 
 	// Core domain: each stage is a throughput; the pipeline runs at the
 	// rate of its slowest stage.
-	rate := cfg.ShaderRate()
+	rate := s.shaderRate
 	dc.VSCycles = verts * vsPC.clocksPerElem / rate
 	dc.SetupCycles = prims / cfg.PrimSetupRate
 	dc.RasterCycles = dc.ShadedPixels / cfg.RasterRate
@@ -156,11 +178,11 @@ func (s *Simulator) DrawCost(d *trace.DrawCall) DrawCost {
 			if tid == 0 {
 				continue
 			}
-			tex, err := s.w.Texture(tid)
-			if err != nil {
-				panic(fmt.Sprintf("gpu: %v", err))
+			fp, ok := s.res.texFootprint(tid)
+			if !ok {
+				panic(fmt.Sprintf("gpu: draw references unknown texture %d", tid))
 			}
-			ws += float64(tex.Footprint())
+			ws += fp
 		}
 		ws *= d.TexLocality
 		// A draw cannot touch more unique texels than it samples: cap
@@ -171,22 +193,21 @@ func (s *Simulator) DrawCost(d *trace.DrawCall) DrawCost {
 		if maxWS := samples * texelBytes; ws > maxWS {
 			ws = maxWS
 		}
-		tt := modelTexTraffic(samples, ws, cfg.TexCacheKB*1024, cfg.TexCacheLineB)
+		tt := modelTexTraffic(samples, ws, s.texCacheBytes, cfg.TexCacheLineB)
 		dc.TexBytes = tt.Bytes
 		dc.TexHitRate = tt.HitRate
 	} else {
 		dc.TexHitRate = 1
 	}
-	rtBytes := covered * float64(rt.BytesPerPixel)
+	rtBytes := covered * rt.bytesPerPixel
 	if d.BlendEnable {
 		rtBytes *= 2 // destination read + write
 	}
 	dc.RTBytes = rtBytes * cfg.ColorCompression
-	if d.DepthEnable && rt.HasDepth {
+	if d.DepthEnable && rt.hasDepth {
 		dc.DepthBytes = dc.ShadedPixels * 4 * 2 * cfg.DepthCompression // 32-bit Z read + write
 	}
-	s.finalize(&dc, d)
-	return dc
+	s.finalize(dc, d)
 }
 
 // finalize derives MemoryNs and TotalNs from the traffic fields and
@@ -195,7 +216,7 @@ func (s *Simulator) DrawCost(d *trace.DrawCall) DrawCost {
 // re-finalizing).
 func (s *Simulator) finalize(dc *DrawCost, d *trace.DrawCall) {
 	cfg := &s.cfg
-	dc.MemoryNs = dc.TrafficBytes() / cfg.BandwidthGBs() // GB/s == bytes/ns
+	dc.MemoryNs = dc.traffic() / s.bandwidthGBs // GB/s == bytes/ns
 
 	// Bottleneck combination with partial overlap.
 	tc, tm := dc.ComputeNs, dc.MemoryNs
@@ -239,7 +260,11 @@ func drawNoiseZ(d *trace.DrawCall) float64 {
 
 // DrawNs is DrawCost reduced to total nanoseconds — the cost oracle
 // signature the rest of the pipeline consumes.
-func (s *Simulator) DrawNs(d *trace.DrawCall) float64 { return s.DrawCost(d).TotalNs }
+func (s *Simulator) DrawNs(d *trace.DrawCall) float64 {
+	var dc DrawCost
+	s.price(d, &dc)
+	return dc.TotalNs
+}
 
 // FrameNs prices a whole frame: the sum of its draw times. Draws
 // serialize at frame granularity in this model; intra-draw parallelism

@@ -22,13 +22,14 @@ func (w *Workload) Validate() error {
 	if len(w.Frames) == 0 {
 		return fmt.Errorf("trace: workload %q has no frames", w.Name)
 	}
+	c := w.newDrawChecker()
 	for fi := range w.Frames {
 		f := &w.Frames[fi]
 		if len(f.Draws) == 0 {
 			return fmt.Errorf("trace: %q frame %d has no draws", w.Name, fi)
 		}
 		for di := range f.Draws {
-			if err := w.validateDraw(&f.Draws[di]); err != nil {
+			if err := c.check(&f.Draws[di]); err != nil {
 				return fmt.Errorf("trace: %q frame %d draw %d: %w", w.Name, fi, di, err)
 			}
 		}
@@ -53,13 +54,14 @@ func (w *Workload) ValidateAll() error {
 	if len(w.Frames) == 0 {
 		errs = append(errs, fmt.Errorf("trace: workload %q has no frames", w.Name))
 	}
+	c := w.newDrawChecker()
 	for fi := range w.Frames {
 		f := &w.Frames[fi]
 		if len(f.Draws) == 0 {
 			errs = append(errs, fmt.Errorf("trace: %q frame %d has no draws", w.Name, fi))
 		}
 		for di := range f.Draws {
-			if err := w.validateDraw(&f.Draws[di]); err != nil {
+			if err := c.check(&f.Draws[di]); err != nil {
 				errs = append(errs, fmt.Errorf("trace: %q frame %d draw %d: %w", w.Name, fi, di, err))
 			}
 		}
@@ -72,10 +74,14 @@ func (w *Workload) ValidateAll() error {
 // and their joined violations (nil when the frame was clean). The
 // receiver provides the resource tables; its own frames are untouched.
 func (w *Workload) SanitizeFrame(f *Frame) (int, error) {
+	return w.newDrawChecker().sanitizeFrame(f)
+}
+
+func (c *drawChecker) sanitizeFrame(f *Frame) (int, error) {
 	var errs []error
 	kept := f.Draws[:0]
 	for di := range f.Draws {
-		if err := w.validateDraw(&f.Draws[di]); err != nil {
+		if err := c.check(&f.Draws[di]); err != nil {
 			errs = append(errs, fmt.Errorf("draw %d: %w", di, err))
 			continue
 		}
@@ -99,9 +105,10 @@ func (w *Workload) Sanitize() (traceerr.Diagnostics, error) {
 		return diag, fmt.Errorf("trace: workload beyond repair (%v): %w", w.Validate(), traceerr.ErrInvalidFrame)
 	}
 	kept := w.Frames[:0]
+	c := w.newDrawChecker()
 	for fi := range w.Frames {
 		f := &w.Frames[fi]
-		dropped, _ := w.SanitizeFrame(f)
+		dropped, _ := c.sanitizeFrame(f)
 		diag.DrawsDropped += dropped
 		if len(f.Draws) == 0 {
 			diag.FramesSkipped++
@@ -117,7 +124,22 @@ func (w *Workload) Sanitize() (traceerr.Diagnostics, error) {
 	return diag, nil
 }
 
-func (w *Workload) validateDraw(d *DrawCall) error {
+// drawChecker checks draws against one workload's resource tables
+// for the length of one validation pass. Program.TextureSlots builds a
+// map and sorts it on every call, so the checker memoises each pixel
+// shader's sampled slots: a pass derives them once per program, not
+// once per draw. The registry must not change during the pass.
+type drawChecker struct {
+	w     *Workload
+	slots map[shader.ID][]int
+}
+
+func (w *Workload) newDrawChecker() *drawChecker {
+	return &drawChecker{w: w, slots: make(map[shader.ID][]int)}
+}
+
+func (c *drawChecker) check(d *DrawCall) error {
+	w := c.w
 	if d.VertexCount <= 0 {
 		return fmt.Errorf("vertex count %d <= 0", d.VertexCount)
 	}
@@ -139,7 +161,12 @@ func (w *Workload) validateDraw(d *DrawCall) error {
 		return fmt.Errorf("shader %d bound as PS has stage %v", d.PS, ps.Stage)
 	}
 	// Every texture slot the pixel shader samples must be bound.
-	for _, slot := range ps.TextureSlots() {
+	slots, ok := c.slots[d.PS]
+	if !ok {
+		slots = ps.TextureSlots()
+		c.slots[d.PS] = slots
+	}
+	for _, slot := range slots {
 		if slot >= len(d.Textures) || d.Textures[slot] == 0 {
 			return fmt.Errorf("pixel shader %d samples slot %d which is unbound", d.PS, slot)
 		}

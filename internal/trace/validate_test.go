@@ -129,3 +129,27 @@ func TestSanitizeFrameDropsOnlyInvalidDraws(t *testing.T) {
 		t.Fatalf("clean frame: dropped=%d err=%v, want 0, nil", dropped, err)
 	}
 }
+
+// A validation pass memoises each pixel shader's sampled texture
+// slots; the memo must not let a later draw of the same shader skip
+// the bound-slot check.
+func TestValidateChecksSlotsOfEveryDraw(t *testing.T) {
+	const want = "frame 2 draw 1: pixel shader 4 samples slot 1 which is unbound"
+	corruptLate := func() *trace.Workload {
+		w := tracetest.Tiny()
+		// Frames 0-1 bind ps.textured (slots 0 and 1) cleanly first.
+		w.Frames[2].Draws[1].Textures = []trace.TextureID{2}
+		return w
+	}
+	if err := corruptLate().Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Validate = %v, want %q", err, want)
+	}
+	if err := corruptLate().ValidateAll(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ValidateAll = %v, want %q", err, want)
+	}
+	w := corruptLate()
+	diag, err := w.Sanitize()
+	if err != nil || diag.DrawsDropped != 1 {
+		t.Errorf("Sanitize dropped %d draws (err %v), want exactly the late draw", diag.DrawsDropped, err)
+	}
+}
