@@ -43,8 +43,8 @@ cover:
 	echo "internal/cache coverage: $$total%"; \
 	awk -v t="$$total" 'BEGIN { exit !(t + 0 >= 70) }' || { echo "FAIL: internal/cache coverage $$total% below the 70% gate"; exit 1; }
 
-# cover-cluster gates the clustering hot path (bucketing, streaming,
-# mini-batch): approximate modes that silently cluster wrong corrupt
+# cover-cluster gates the clustering hot path (the exact algorithms and
+# bucketing): an approximate mode that silently clusters wrong corrupts
 # every downstream result, so the algorithms carry their own floor.
 cover-cluster:
 	$(GO) test -coverprofile=cover-cluster.out ./internal/cluster/
@@ -115,13 +115,13 @@ bench-hotpath:
 # run to run on shared VMs, so a 10% window flakes on noise alone —
 # and the floors pin what must hold regardless of noise: the exact
 # path within 10% of the frozen seed path (exact >= 0.9x naive), the
-# bucketed arm still decisively sub-linear (>= 3.5x), streaming still
-# ahead of naive (>= 1.3x), and the flat pricing oracle at least twice
-# the frozen map-and-mip-walk oracle (Oracle/flat >= 2x).
+# bucketed arm still decisively sub-linear (>= 3.5x), and the flat
+# pricing oracle at least twice the frozen map-and-mip-walk oracle
+# (Oracle/flat >= 2x).
 bench-hotpath-check:
 	$(GO) test -bench='^Benchmark(HotPath|Oracle)$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | $(GO) run ./cmd/benchjson -match '^(HotPath|Oracle)' -o bench-hotpath-new.json
 	$(GO) run ./cmd/benchguard -in bench-hotpath-new.json -baseline BENCH_hotpath.json -max-regress 0.25 \
-	  -min HotPath/exact=0.9 -min HotPath/bucketed=3.5 -min HotPath/streaming=1.3 -min Oracle/flat=2.0
+	  -min HotPath/exact=0.9 -min HotPath/bucketed=3.5 -min Oracle/flat=2.0
 
 # bench-shard regenerates BENCH_shard.json: the 32-config grid sweep
 # split across 2/4/8 shard workers versus the sequential path

@@ -129,7 +129,6 @@ func naiveClusterFrames(b *testing.B, w *trace.Workload, mixes map[shader.ID]sha
 //	                exact leader)
 //	path=exact      current exact path (flat extraction, scratch reuse)
 //	path=bucketed   signature-bucketed leader
-//	path=streaming  one-pass streaming leader, no materialized matrix
 //
 // `make bench-hotpath` renders this into BENCH_hotpath.json; the
 // speedup_vs_naive ratios are the tracked result, and
@@ -160,7 +159,6 @@ func BenchmarkHotPath(b *testing.B) {
 	}{
 		{"exact", subset.Method{Algo: subset.AlgoLeader, Threshold: threshold, Normalizer: "zscore", Mode: subset.ModeExact}},
 		{"bucketed", subset.Method{Algo: subset.AlgoLeader, Threshold: threshold, Normalizer: "zscore", Mode: subset.ModeBucketed}},
-		{"streaming", subset.Method{Algo: subset.AlgoLeader, Threshold: threshold, Normalizer: "zscore", Mode: subset.ModeStreaming}},
 	}
 	for _, arm := range arms {
 		b.Run("path="+arm.name, func(b *testing.B) {

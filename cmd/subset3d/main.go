@@ -83,7 +83,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.tracePath, "trace", "", "input .trace file (required)")
 	flag.Float64Var(&cfg.threshold, "threshold", core.DefaultOptions().Subset.Method.Threshold, "leader clustering threshold")
-	flag.StringVar(&cfg.mode, "cluster-mode", "exact", "clustering hot-path strategy: exact, bucketed or streaming (non-exact modes are approximate but sub-linear)")
+	flag.StringVar(&cfg.mode, "cluster-mode", "exact", "clustering hot-path strategy: exact or bucketed (bucketed is approximate but sub-linear)")
 	flag.IntVar(&cfg.interval, "interval", core.DefaultOptions().Subset.Phase.IntervalFrames, "phase detection interval (frames)")
 	flag.BoolVar(&cfg.fast, "fast", false, "skip per-frame clustering evaluation")
 	flag.StringVar(&cfg.streamIn, "stream", "", "frame-stream trace to subset in one bounded-memory pass")

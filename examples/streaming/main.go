@@ -57,11 +57,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer in.Close()
-	dec, err := trace.NewStreamDecoder(in)
+	r, err := trace.NewStreamReader(in, trace.ReaderOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := stream.Run(dec, stream.DefaultOptions())
+	res, err := stream.Run(r, stream.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,40 +4,46 @@ import (
 	"testing"
 
 	"repro/internal/dcmath"
+	"repro/internal/linalg"
 	"repro/internal/testutil"
 )
 
-// The streaming clusterer's per-draw steady state — a point joining an
-// existing cluster — must not allocate: it is the corpus-scale inner
-// loop of the streaming mode, and the heap profile of the hot path
-// showed per-draw churn is what parallel speedups could not hide.
-func TestStreamingLeaderAddSteadyStateZeroAlloc(t *testing.T) {
+// The bucketed leader's per-point steady state — a point joining an
+// existing cluster — must not allocate: it is the inner loop of the
+// bucketed mode, and the heap profile of the hot path showed per-draw
+// churn is what parallel speedups could not hide. One call allocates
+// per cluster and per call, never per point, so a frame of the same
+// clusters with 16x the points costs the same allocation count.
+func TestLeaderBucketedPerPointZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	rng := dcmath.NewRNG(400)
-	sl, err := NewStreamingLeader(8, 1.0)
+	blobs := func(n int) *linalg.Matrix {
+		rng := dcmath.NewRNG(400)
+		x := linalg.NewMatrix(n, 8)
+		for i := 0; i < n; i++ {
+			for j, row := 0, x.Row(i); j < len(row); j++ {
+				row[j] = float64(i%4)*10 + rng.Float64()*0.1
+			}
+		}
+		return x
+	}
+	allocs := func(x *linalg.Matrix) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := LeaderBucketed(x, 1.0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := blobs(64), blobs(1024)
+	res, _, err := LeaderBucketed(large, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up: found a handful of clusters so later adds join them.
-	pts := make([][]float64, 32)
-	for i := range pts {
-		p := make([]float64, 8)
-		for j := range p {
-			p[j] = float64(i%4)*10 + rng.Float64()*0.1
-		}
-		pts[i] = p
+	if res.K > 16 {
+		t.Fatalf("fixture spreads over %d clusters; want a handful so later points join them", res.K)
 	}
-	for _, p := range pts {
-		sl.Add(p)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		sl.Add(pts[i%len(pts)])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("StreamingLeader.Add steady state allocates %.1f per draw, want 0", allocs)
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Fatalf("LeaderBucketed allocates %.0f for 64 points, %.0f for 1024: per-point steady state allocates", a, b)
 	}
 }

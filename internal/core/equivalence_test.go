@@ -39,10 +39,6 @@ func TestApproximateModesEquivalentToExact(t *testing.T) {
 			m.Mode = subset.ModeBucketed
 			return m
 		},
-		"streaming-leader": func(m subset.Method) subset.Method {
-			m.Mode = subset.ModeStreaming
-			return m
-		},
 	}
 
 	for _, p := range detProfiles() {

@@ -1,10 +1,13 @@
 package features
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/shader"
 	"repro/internal/tracetest"
 )
 
@@ -165,4 +168,75 @@ func TestDrawPanicsOnUnknownShader(t *testing.T) {
 		}
 	}()
 	e.Draw(&d)
+}
+
+// A registry restored under sparse ids extracts exactly as the dense
+// one: the per-program terms are keyed by id, not by id order.
+func TestSparseShaderIDsExtractLikeDense(t *testing.T) {
+	dense, sparse := tracetest.Tiny(), tracetest.TinySparseIDs()
+	ed, err := NewExtractor(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := NewExtractor(sparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi := range dense.Frames {
+		want, got := ed.Frame(&dense.Frames[fi]), es.Frame(&sparse.Frames[fi])
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("frame %d: sparse-id feature %d = %v, dense %v", fi, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
+// Ids around and far beyond the registered ones are dangling
+// references: extraction panics naming the stage and the id.
+func TestSparseShaderIDsPanicOnUnknown(t *testing.T) {
+	w := tracetest.TinySparseIDs()
+	e, err := NewExtractor(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxID shader.ID
+	for _, id := range w.Shaders.IDs() {
+		maxID = max(maxID, id)
+	}
+	for _, id := range []shader.ID{0, maxID + 1, math.MaxUint32 - 1} {
+		for _, stage := range []string{"VS", "PS"} {
+			d := w.Frames[0].Draws[0]
+			if stage == "VS" {
+				d.VS = id
+			} else {
+				d.PS = id
+			}
+			want := fmt.Sprintf("features: draw references unknown %s %d", stage, id)
+			func() {
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("%s %d: panic %v, want %q", stage, id, got, want)
+					}
+				}()
+				e.Draw(&d)
+			}()
+		}
+	}
+}
+
+// The shader table is sized by the program count, not by the largest
+// id: a table indexed by id would need 2^31 entries for TinySparseIDs.
+func TestNewExtractorMemoryIndependentOfIDSpread(t *testing.T) {
+	w := tracetest.TinySparseIDs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewExtractor(w)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("NewExtractor allocated %d bytes for %d programs", grew, w.Shaders.Len())
+	}
 }

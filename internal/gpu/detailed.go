@@ -36,7 +36,7 @@ func (s *Simulator) DetailedTexTraffic(d *trace.DrawCall, maxSamples int) (Detai
 	if maxSamples <= 0 {
 		return DetailedTexResult{}, fmt.Errorf("gpu: maxSamples %d <= 0", maxSamples)
 	}
-	psPC, ok := s.res.progs.lookup(d.PS)
+	psPC, ok := s.res.progs.Lookup(d.PS)
 	if !ok {
 		return DetailedTexResult{}, fmt.Errorf("gpu: draw references unknown PS %d", d.PS)
 	}

@@ -415,34 +415,8 @@ func TestFrameDetailedMatchesNaiveOracle(t *testing.T) {
 	}
 }
 
-// sparseIDWorkload is tracetest.Tiny with its four programs restored
-// under sparse ids, as a decoded trace may carry them.
-func sparseIDWorkload(t *testing.T) *trace.Workload {
-	t.Helper()
-	w := tracetest.Tiny()
-	remap := map[shader.ID]shader.ID{1: 1, 2: 7, 3: 1 << 31, 4: 1<<31 + 5}
-	var progs []*shader.Program
-	for _, p := range w.Shaders.Programs() {
-		q := *p
-		q.ID = remap[p.ID]
-		progs = append(progs, &q)
-	}
-	reg, err := shader.RestoreRegistry(progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Shaders = reg
-	for fi := range w.Frames {
-		for di := range w.Frames[fi].Draws {
-			d := &w.Frames[fi].Draws[di]
-			d.VS, d.PS = remap[d.VS], remap[d.PS]
-		}
-	}
-	return w
-}
-
 func TestSparseShaderIDsPriceLikeNaive(t *testing.T) {
-	w := sparseIDWorkload(t)
+	w := tracetest.TinySparseIDs()
 	for _, cfg := range oracleConfigs() {
 		s, err := NewSimulator(cfg, w)
 		if err != nil {
@@ -458,7 +432,7 @@ func TestSparseShaderIDsPriceLikeNaive(t *testing.T) {
 	// largest id: a table indexed by id would need 2^32 slots here.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s, err := NewSimulator(BaseConfig(), w)
+	_, err := NewSimulator(BaseConfig(), w)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -466,15 +440,12 @@ func TestSparseShaderIDsPriceLikeNaive(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Errorf("NewSimulator allocated %d bytes for %d programs", grew, w.Shaders.Len())
 	}
-	if got := len(s.res.progs.slots); got > 4*w.Shaders.Len() {
-		t.Errorf("program table has %d slots for %d programs", got, w.Shaders.Len())
-	}
 }
 
 // A VS or PS id above every registered id is a dangling reference: it
 // must panic, never price as a zero-cost program.
 func TestDrawCostPanicsOnIDsAboveRegistry(t *testing.T) {
-	for name, w := range map[string]*trace.Workload{"dense": tracetest.Tiny(), "sparse": sparseIDWorkload(t)} {
+	for name, w := range map[string]*trace.Workload{"dense": tracetest.Tiny(), "sparse": tracetest.TinySparseIDs()} {
 		s, err := NewSimulator(BaseConfig(), w)
 		if err != nil {
 			t.Fatal(err)

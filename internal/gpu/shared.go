@@ -51,7 +51,7 @@ func (s *Simulator) FrameDetailed(f *trace.Frame, maxSamplesPerDraw int) (Detail
 		dc := s.DrawCost(d) // analytic stage costs + isolated texture model
 		res.ContextFreeNs += dc.TotalNs
 
-		psPC, _ := s.res.progs.lookup(d.PS) // DrawCost panicked if unknown
+		psPC, _ := s.res.progs.Lookup(d.PS) // DrawCost panicked if unknown
 		samples := dc.ShadedPixels * psPC.texPerElem
 		if samples > 0 {
 			measured, err := s.replayShared(cache, d, samples, maxSamplesPerDraw, regionBytes)

@@ -136,11 +136,11 @@ func (s *Simulator) DrawCost(d *trace.DrawCall) (dc DrawCost) {
 // fields do not copy the whole DrawCost per draw.
 func (s *Simulator) price(d *trace.DrawCall, dc *DrawCost) {
 	cfg := &s.cfg
-	vsPC, ok := s.res.progs.lookup(d.VS)
+	vsPC, ok := s.res.progs.Lookup(d.VS)
 	if !ok {
 		panic(fmt.Sprintf("gpu: draw references unknown VS %d", d.VS))
 	}
-	psPC, ok := s.res.progs.lookup(d.PS)
+	psPC, ok := s.res.progs.Lookup(d.PS)
 	if !ok {
 		panic(fmt.Sprintf("gpu: draw references unknown PS %d", d.PS))
 	}

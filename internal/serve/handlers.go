@@ -327,10 +327,9 @@ type SubsetRequest struct {
 	// Validate enables the frequency-scaling validation sweep.
 	Validate bool `json:"validate"`
 
-	// Mode selects the clustering hot-path strategy: "exact" (default),
-	// "bucketed" or "streaming". Non-exact modes trade a
-	// slightly larger subset for sub-linear clustering work; see
-	// subset.Mode.
+	// Mode selects the clustering hot-path strategy: "exact" (default)
+	// or "bucketed". Bucketed trades a slightly larger subset for
+	// sub-linear clustering work; see subset.Mode.
 	Mode string `json:"mode,omitempty"`
 }
 

@@ -16,7 +16,7 @@ func TestSubsetModes(t *testing.T) {
 	h := s.Handler()
 	fp := upload(t, h, streamBody(t, tracetest.Tiny()))
 
-	for _, mode := range []string{"", "exact", "bucketed", "streaming"} {
+	for _, mode := range []string{"", "exact", "bucketed"} {
 		body := fmt.Sprintf(`{"workload":%q,"mode":%q}`, fp, mode)
 		rec := do(h, "POST", "/v1/subset", []byte(body))
 		if rec.Code != http.StatusOK {
@@ -31,7 +31,7 @@ func TestSubsetModes(t *testing.T) {
 		}
 	}
 
-	for _, mode := range []string{"turbo", "sampled"} {
+	for _, mode := range []string{"turbo", "sampled", "streaming"} {
 		rec := do(h, "POST", "/v1/subset", []byte(fmt.Sprintf(`{"workload":%q,"mode":%q}`, fp, mode)))
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("unknown mode %q: %d, want 400 (%s)", mode, rec.Code, rec.Body)

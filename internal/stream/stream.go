@@ -1,6 +1,6 @@
 // Package stream is the one-pass, bounded-memory variant of workload
 // subsetting: frames are consumed as they arrive (e.g. from a
-// trace.StreamDecoder attached to a capture that never fits in
+// trace.StreamReader attached to a capture that never fits in
 // memory), the phase table is maintained online, and only the frames
 // that become phase representatives are ever clustered or retained.
 //
@@ -100,7 +100,7 @@ type Subsetter struct {
 }
 
 // New builds a streaming subsetter bound to the stream's shell
-// workload (trace.StreamDecoder.Shell()).
+// workload (trace.StreamReader.Shell()).
 func New(shell *trace.Workload, opt Options) (*Subsetter, error) {
 	if err := opt.Phase.Validate(); err != nil {
 		return nil, err
@@ -206,29 +206,16 @@ func (s *Subsetter) Finish() (*Result, error) {
 	}, nil
 }
 
-// FrameSource is what RunContext drains: both trace.StreamDecoder
-// (strict) and trace.StreamReader (strict or lenient) satisfy it.
-type FrameSource interface {
-	Shell() *trace.Workload
-	NextFrame() (trace.Frame, error)
-}
-
-// diagnoser lets RunContext collect degradation accounting from
-// sources that keep it (trace.StreamReader).
-type diagnoser interface {
-	Diagnostics() traceerr.Diagnostics
-}
-
-// Run drains a frame source through a subsetter — the convenience
+// Run drains a stream reader through a subsetter — the convenience
 // entry point for file-backed captures.
-func Run(src FrameSource, opt Options) (*Result, error) {
+func Run(src *trace.StreamReader, opt Options) (*Result, error) {
 	return RunContext(context.Background(), src, opt)
 }
 
 // RunContext is Run with cancellation: the drain loop stops with
 // ctx.Err() as soon as the context is done, so callers can bound
 // unattended ingestion with a deadline or Ctrl-C.
-func RunContext(ctx context.Context, src FrameSource, opt Options) (*Result, error) {
+func RunContext(ctx context.Context, src *trace.StreamReader, opt Options) (*Result, error) {
 	if opt.Obs != nil && obs.RunFromContext(ctx) == nil {
 		ctx = opt.Obs.Context(ctx)
 	}
@@ -260,9 +247,7 @@ func RunContext(ctx context.Context, src FrameSource, opt Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	if d, ok := src.(diagnoser); ok {
-		res.Diagnostics.Add(d.Diagnostics())
-	}
+	res.Diagnostics.Add(src.Diagnostics())
 	if run != nil {
 		reg := run.Metrics()
 		reg.Counter("stream.frames").Add(int64(res.ParentFrames))

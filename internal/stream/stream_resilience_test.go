@@ -116,7 +116,7 @@ func TestStrictCorruptionFailsFast(t *testing.T) {
 	corrupt := append([]byte{}, data...)
 	corrupt[starts[17]+25] ^= 0x80
 
-	dec, err := trace.NewStreamDecoder(bytes.NewReader(corrupt))
+	dec, err := trace.NewStreamReader(bytes.NewReader(corrupt), trace.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRunContextCancellation(t *testing.T) {
 	if err := trace.EncodeStream(&buf, w); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := trace.NewStreamDecoder(&buf)
+	dec, err := trace.NewStreamReader(&buf, trace.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	dec2, err := trace.NewStreamDecoder(bytes.NewReader(buf.Bytes()))
+	dec2, err := trace.NewStreamReader(bytes.NewReader(buf.Bytes()), trace.ReaderOptions{})
 	if err == nil {
 		ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel2()

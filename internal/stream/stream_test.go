@@ -29,7 +29,7 @@ func streamGame(t *testing.T) *trace.Workload {
 	return w
 }
 
-// shellOf strips frames, as a StreamDecoder would present the workload.
+// shellOf strips frames, as a StreamReader would present the workload.
 func shellOf(t *testing.T, w *trace.Workload) *trace.Workload {
 	t.Helper()
 	shell, err := trace.HeaderOf(w).Shell()
@@ -95,7 +95,7 @@ func TestStreamRunFromDecoder(t *testing.T) {
 	if err := trace.EncodeStream(&buf, w); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := trace.NewStreamDecoder(&buf)
+	dec, err := trace.NewStreamReader(&buf, trace.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

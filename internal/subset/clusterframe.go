@@ -16,6 +16,7 @@ import (
 	"repro/internal/dcmath"
 	"repro/internal/features"
 	"repro/internal/linalg"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/trace"
 )
@@ -27,8 +28,9 @@ import (
 // assignment, medoid or weight.
 //
 // v2: Method gained Mode and BatchSize (hot-path execution strategy).
-// v3: the sampled mode and BatchSize were removed, renumbering
-// ModeStreaming.
+// v3: the sampled mode and BatchSize were removed, renumbering the
+// streaming mode. Removing the streaming mode too kept v3: exact (0)
+// and bucketed (1) keep their key bytes, and no other mode parses.
 const ClusterVersion = 3
 
 // CostOracle prices a draw call in nanoseconds. *gpu.Simulator
@@ -95,9 +97,9 @@ type Method struct {
 	// trade.
 	PCAComponents int
 
-	// Mode selects the hot-path execution strategy: exact (default),
-	// bucketed or streaming. Non-exact modes are approximate; see the
-	// Mode constants for the contracts each one keeps.
+	// Mode selects the hot-path execution strategy: exact (default)
+	// or bucketed. Bucketed is approximate; see the Mode constants for
+	// the contract it keeps.
 	Mode Mode
 }
 
@@ -146,13 +148,6 @@ func (m Method) validate() error {
 	case ModeBucketed:
 		if m.Algo != AlgoLeader && m.Algo != AlgoAgglomerative {
 			return fmt.Errorf("subset: bucketed mode needs a threshold algorithm (leader or agglomerative), got %v", m.Algo)
-		}
-	case ModeStreaming:
-		if m.Algo != AlgoLeader {
-			return fmt.Errorf("subset: streaming mode is one-pass leader clustering; algorithm must be leader, got %v", m.Algo)
-		}
-		if m.PCAComponents > 0 {
-			return fmt.Errorf("subset: streaming mode cannot fit PCA (needs the full matrix); set PCA components to 0")
 		}
 	default:
 		return fmt.Errorf("subset: unknown cluster mode %v", m.Mode)
@@ -307,9 +302,6 @@ func (fc *FrameClusterer) ClusterFrameContext(ctx context.Context, f *trace.Fram
 var frameScratch = sync.Pool{New: func() any { return &linalg.Matrix{} }}
 
 func (fc *FrameClusterer) clusterFrame(ctx context.Context, f *trace.Frame, frameIndex int) (ClusteredFrame, error) {
-	if fc.method.Mode == ModeStreaming {
-		return fc.clusterFrameStreaming(ctx, f, frameIndex)
-	}
 	var x *linalg.Matrix
 	var err error
 	if _, _, cached := cache.ForWorkload(ctx); cached {
@@ -381,4 +373,17 @@ func (fc *FrameClusterer) clusterFrame(ctx context.Context, f *trace.Frame, fram
 		cf.Weights[c] = float64(s)
 	}
 	return cf, nil
+}
+
+// recordBucketStats publishes pre-bucketing counters to the run's
+// metrics registry. The comparisons counter is the one to watch: it is
+// the hot path's actual work, and bucketing exists to shrink it.
+func recordBucketStats(ctx context.Context, s cluster.BucketStats) {
+	if s.Points == 0 {
+		return
+	}
+	reg := obs.RunFromContext(ctx).Metrics()
+	reg.Counter("cluster.bucket.points").Add(int64(s.Points))
+	reg.Counter("cluster.bucket.buckets").Add(int64(s.Buckets))
+	reg.Counter("cluster.bucket.compares").Add(int64(s.Comparisons))
 }

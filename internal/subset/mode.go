@@ -4,8 +4,8 @@ import "fmt"
 
 // Mode selects the execution strategy for the per-frame clustering
 // hot path. ModeExact is the default and reproduces the historical
-// algorithms bit-for-bit; the other modes trade exactness for speed
-// and are validated against the exact path by the equivalence suite
+// algorithms bit-for-bit; ModeBucketed trades exactness for speed and
+// is validated against the exact path by the equivalence suite
 // (internal/core/equivalence_test.go).
 type Mode uint8
 
@@ -20,12 +20,6 @@ const (
 	// candidates, never loosens acceptance), so subsets stay valid —
 	// just occasionally a little larger.
 	ModeBucketed
-
-	// ModeStreaming clusters draws one at a time with a one-pass
-	// leader variant and never materializes the frame's feature
-	// matrix: O(dims + K x dims) working memory regardless of draw
-	// count.
-	ModeStreaming
 )
 
 // String returns the mode name, the same spelling ParseMode accepts.
@@ -35,8 +29,6 @@ func (m Mode) String() string {
 		return "exact"
 	case ModeBucketed:
 		return "bucketed"
-	case ModeStreaming:
-		return "streaming"
 	default:
 		return fmt.Sprintf("mode(%d)", uint8(m))
 	}
@@ -50,9 +42,7 @@ func ParseMode(s string) (Mode, error) {
 		return ModeExact, nil
 	case "bucketed":
 		return ModeBucketed, nil
-	case "streaming":
-		return ModeStreaming, nil
 	default:
-		return ModeExact, fmt.Errorf("subset: unknown cluster mode %q (want exact, bucketed or streaming)", s)
+		return ModeExact, fmt.Errorf("subset: unknown cluster mode %q (want exact or bucketed)", s)
 	}
 }

@@ -1,7 +1,6 @@
 package subset
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/cache"
@@ -9,10 +8,9 @@ import (
 
 func TestParseMode(t *testing.T) {
 	good := map[string]Mode{
-		"":          ModeExact,
-		"exact":     ModeExact,
-		"bucketed":  ModeBucketed,
-		"streaming": ModeStreaming,
+		"":         ModeExact,
+		"exact":    ModeExact,
+		"bucketed": ModeBucketed,
 	}
 	for s, want := range good {
 		got, err := ParseMode(s)
@@ -23,7 +21,7 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("Mode(%v).String() = %q, want %q (round trip)", got, got.String(), s)
 		}
 	}
-	for _, s := range []string{"turbo", "sampled"} {
+	for _, s := range []string{"turbo", "sampled", "streaming"} {
 		if _, err := ParseMode(s); err == nil {
 			t.Errorf("ParseMode accepted unknown mode %q", s)
 		}
@@ -32,10 +30,8 @@ func TestParseMode(t *testing.T) {
 
 func TestModeValidation(t *testing.T) {
 	bad := map[string]Method{
-		"bucketed kmeans":  {Algo: AlgoKMeans, K: 5, MaxIter: 10, Mode: ModeBucketed},
-		"streaming kmeans": {Algo: AlgoKMeans, K: 5, MaxIter: 10, Mode: ModeStreaming},
-		"streaming pca":    {Algo: AlgoLeader, Threshold: 1, Mode: ModeStreaming, PCAComponents: 3},
-		"unknown mode":     {Algo: AlgoLeader, Threshold: 1, Mode: Mode(99)},
+		"bucketed kmeans": {Algo: AlgoKMeans, K: 5, MaxIter: 10, Mode: ModeBucketed},
+		"unknown mode":    {Algo: AlgoLeader, Threshold: 1, Mode: Mode(99)},
 	}
 	for name, m := range bad {
 		if m.validate() == nil {
@@ -45,7 +41,6 @@ func TestModeValidation(t *testing.T) {
 	good := []Method{
 		{Algo: AlgoLeader, Threshold: 1, Mode: ModeBucketed},
 		{Algo: AlgoAgglomerative, Threshold: 1, Mode: ModeBucketed},
-		{Algo: AlgoLeader, Threshold: 1, Mode: ModeStreaming},
 	}
 	for _, m := range good {
 		if err := m.validate(); err != nil {
@@ -58,9 +53,8 @@ func TestModeValidation(t *testing.T) {
 // strategy cluster differently and cannot share cached results.
 func TestModeChangesCacheKey(t *testing.T) {
 	base := DefaultMethod()
-	variants := []Method{base, base, base}
+	variants := []Method{base, base}
 	variants[1].Mode = ModeBucketed
-	variants[2].Mode = ModeStreaming
 	seen := map[string]int{}
 	for i, m := range variants {
 		k := m.keyInto(cache.NewKey("test", 1)).Sum().String()
@@ -80,10 +74,9 @@ func TestClusterFrameModes(t *testing.T) {
 	modes := []Method{
 		{Algo: AlgoLeader, Threshold: 0.5, Normalizer: "zscore", Mode: ModeBucketed},
 		{Algo: AlgoAgglomerative, Threshold: 0.5, Normalizer: "zscore", Mode: ModeBucketed},
-		{Algo: AlgoLeader, Threshold: 0.5, Normalizer: "zscore", Mode: ModeStreaming},
-		{Algo: AlgoLeader, Threshold: 0.5, Normalizer: "minmax", Mode: ModeStreaming},
-		{Algo: AlgoLeader, Threshold: 3.0, Normalizer: "none", Mode: ModeStreaming},
-		{Algo: AlgoLeader, Threshold: 0.5, Normalizer: "zscore", Mode: ModeStreaming,
+		{Algo: AlgoLeader, Threshold: 0.5, Normalizer: "minmax", Mode: ModeBucketed},
+		{Algo: AlgoLeader, Threshold: 3.0, Normalizer: "none", Mode: ModeBucketed},
+		{Algo: AlgoLeader, Threshold: 0.5, Normalizer: "zscore", Mode: ModeBucketed,
 			FeatureGroups: []string{"vshader", "pshader"}},
 	}
 	for _, m := range modes {
@@ -115,56 +108,5 @@ func TestClusterFrameModes(t *testing.T) {
 		if total != float64(len(f.Draws)) {
 			t.Fatalf("%s: weights sum to %v, want %d", name, total, len(f.Draws))
 		}
-	}
-}
-
-// Streaming mode is deterministic and close to the exact leader
-// clustering: same draws, same order, same threshold — only the
-// bucketing-induced splits may differ.
-func TestStreamingModeDeterministicAndComparable(t *testing.T) {
-	w := testGame(t)
-	f := &w.Frames[0]
-	m := Method{Algo: AlgoLeader, Threshold: 0.5, Normalizer: "zscore", Mode: ModeStreaming}
-	fc, err := NewFrameClusterer(w, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := fc.ClusterFrame(f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := fc.ClusterFrame(f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Result.K != b.Result.K {
-		t.Fatalf("streaming K not deterministic: %d vs %d", a.Result.K, b.Result.K)
-	}
-	for i := range a.Result.Assign {
-		if a.Result.Assign[i] != b.Result.Assign[i] {
-			t.Fatalf("streaming assignment %d not deterministic", i)
-		}
-	}
-
-	exact := m
-	exact.Mode = ModeExact
-	fe, err := NewFrameClusterer(w, exact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := fe.ClusterFrame(f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Result.K < e.Result.K {
-		t.Fatalf("streaming K=%d below exact K=%d (bucketing must only split)", a.Result.K, e.Result.K)
-	}
-	// Normalization matches the batch fit closely: cluster counts stay
-	// in the same regime (splits only, bounded blow-up).
-	if float64(a.Result.K) > 3*float64(e.Result.K)+8 {
-		t.Fatalf("streaming K=%d, exact K=%d: split blow-up out of tolerance", a.Result.K, e.Result.K)
-	}
-	if math.Abs(a.Result.Efficiency()-e.Result.Efficiency()) > 0.35 {
-		t.Fatalf("streaming efficiency %v vs exact %v", a.Result.Efficiency(), e.Result.Efficiency())
 	}
 }

@@ -88,9 +88,9 @@ func TestStreamV1BackwardCompat(t *testing.T) {
 	}
 	v1 := buf.Bytes()
 
-	dec, err := trace.NewStreamDecoder(bytes.NewReader(v1))
+	dec, err := trace.NewStreamReader(bytes.NewReader(v1), trace.ReaderOptions{})
 	if err != nil {
-		t.Fatalf("v1 stream rejected by StreamDecoder: %v", err)
+		t.Fatalf("v1 stream rejected by StreamReader: %v", err)
 	}
 	n := 0
 	for {

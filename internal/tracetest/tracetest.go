@@ -95,3 +95,34 @@ func Tiny() *trace.Workload {
 	}
 	return w
 }
+
+// TinySparseIDs is Tiny with its four programs restored under the
+// sparse ids 1, 7, 1<<31 and 1<<31+5, as a decoded trace may carry
+// them. Consumers that precompute per-program terms must resolve these
+// ids exactly as Tiny's dense ones, without sizing anything by the
+// largest id.
+func TinySparseIDs() *trace.Workload {
+	w := Tiny()
+	remap := map[shader.ID]shader.ID{1: 1, 2: 7, 3: 1 << 31, 4: 1<<31 + 5}
+	var progs []*shader.Program
+	for _, p := range w.Shaders.Programs() {
+		q := *p
+		q.ID = remap[p.ID]
+		progs = append(progs, &q)
+	}
+	reg, err := shader.RestoreRegistry(progs)
+	if err != nil {
+		panic(fmt.Sprintf("tracetest: %v", err))
+	}
+	w.Shaders = reg
+	for fi := range w.Frames {
+		for di := range w.Frames[fi].Draws {
+			d := &w.Frames[fi].Draws[di]
+			d.VS, d.PS = remap[d.VS], remap[d.PS]
+		}
+	}
+	if err := w.Validate(); err != nil {
+		panic(fmt.Sprintf("tracetest: sparse fixture invalid: %v", err))
+	}
+	return w
+}
