@@ -6,9 +6,10 @@
 //	gpusim -trace game.trace -lenient -manifest run.json
 //
 // It prints the total runtime, FPS and aggregate statistics; -frames
-// additionally lists per-frame times. -lenient sanitizes a damaged
-// trace (dropping invalid draws and unusable frames) instead of
-// rejecting it, and reports what was skipped.
+// additionally lists per-frame times. -trace reads gob, JSON or a
+// stream container. -lenient repairs a damaged trace while decoding it
+// (resyncing past corrupt records, dropping invalid draws and unusable
+// frames) instead of rejecting it, and reports what was skipped.
 //
 // -cache-dir/-cache-mem enable the content-addressed result cache: a
 // repeat pricing of the same trace on the same config is then served
@@ -85,12 +86,12 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.tracePath, "trace", "", "input .trace file (required)")
+	flag.StringVar(&cfg.tracePath, "trace", "", "input workload: gob .trace, JSON or stream container (required)")
 	flag.Float64Var(&cfg.core, "core", 1.0, "core clock in GHz")
 	flag.Float64Var(&cfg.mem, "mem", 1.0, "memory clock in GHz")
 	flag.BoolVar(&cfg.perFrame, "frames", false, "print per-frame times")
 	flag.BoolVar(&cfg.breakdown, "breakdown", false, "print workload characterization (bottlenecks, traffic)")
-	flag.BoolVar(&cfg.lenient, "lenient", false, "sanitize a damaged trace (drop invalid draws/frames) and report diagnostics instead of failing")
+	flag.BoolVar(&cfg.lenient, "lenient", false, "repair a damaged trace while decoding (resync corrupt records, drop invalid draws/frames) and report diagnostics instead of failing")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "abort the run after this long (0 = no limit)")
 	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "max goroutines for frame pricing (output is identical at any count)")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "directory for the on-disk result cache (empty = memory-only when -cache-mem is set, else no caching)")
@@ -149,8 +150,8 @@ func execute(ctx context.Context, cfg config) error {
 	return err
 }
 
-// loadWorkload decodes (and under -lenient, sanitizes) the input
-// trace — the shared front half of every pricing mode.
+// loadWorkload decodes the input trace — validated, or under -lenient
+// repaired — the shared front half of every pricing mode.
 func loadWorkload(ctx context.Context, run *obs.Run, cfg config) (*trace.Workload, error) {
 	run.RecordFile("input", cfg.tracePath)
 	_, dsp := obs.StartSpan(ctx, "decode-trace")
@@ -160,26 +161,18 @@ func loadWorkload(ctx context.Context, run *obs.Run, cfg config) (*trace.Workloa
 		return nil, err
 	}
 	defer f.Close()
-	w, err := trace.Decode(f)
+	w, _, diag, err := trace.ReadWorkload(f, trace.ReaderOptions{Lenient: cfg.lenient})
 	if err != nil {
 		dsp.End()
 		return nil, err
 	}
 	dsp.AddItems(int64(w.NumFrames()))
 	dsp.End()
-
 	if cfg.lenient {
-		_, ssp := obs.StartSpan(ctx, "sanitize")
-		diag, err := w.Sanitize()
-		ssp.AddItems(int64(w.NumFrames()))
-		ssp.End()
-		if err != nil {
-			return nil, err
-		}
 		run.RecordDiagnostics(diag.Map())
 		if diag.Any() {
 			fmt.Fprintf(cfg.out, "degraded: %v\n", diag)
-			run.Logger().Warn("lenient sanitization degraded the workload",
+			run.Logger().Warn("lenient decoding degraded the workload",
 				"workload", w.Name, "diagnostics", diag.String())
 		}
 	}

@@ -7,10 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/synth"
+	"repro/internal/trace"
+	"repro/internal/traceerr"
 )
 
 // writeTrace generates a small synthetic workload and writes it as the
@@ -161,5 +164,45 @@ func TestSweepGridFlagValidation(t *testing.T) {
 	emptyMerge.shardDir = t.TempDir()
 	if err := execute(context.Background(), emptyMerge); err == nil {
 		t.Fatal("-merge over an empty directory accepted")
+	}
+}
+
+// TestTraceLenientRepairsDamage: -lenient repairs a damaged gob trace
+// while decoding it and prints the degraded line; without -lenient the
+// run fails on the damaged draw.
+func TestTraceLenientRepairsDamage(t *testing.T) {
+	dir := t.TempDir()
+	clean, err := os.ReadFile(writeTrace(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.Decode(bytes.NewReader(clean))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Frames[2].Draws[0].Overdraw = 0.2
+	path := filepath.Join(dir, "damaged.trace")
+	var buf bytes.Buffer
+	if err := w.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	cfg := baseCfg(path, &out)
+	cfg.lenient = true
+	if err := execute(context.Background(), cfg); err != nil {
+		t.Fatalf("lenient run: %v", err)
+	}
+	if want := fmt.Sprintf("degraded: %v\n", traceerr.Diagnostics{DrawsDropped: 1}); !strings.HasPrefix(out.String(), want) {
+		t.Errorf("output does not open with %q:\n%s", want, out.String())
+	}
+
+	cfg.lenient = false
+	err = execute(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "frame 2 draw 0: overdraw 0.2 < 1") {
+		t.Errorf("strict run: err = %v, want the overdraw rejection", err)
 	}
 }

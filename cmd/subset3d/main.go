@@ -4,14 +4,15 @@
 //
 // Usage:
 //
-//	subset3d -trace game.trace [-threshold 0.5] [-interval 4] [-fast]
+//	subset3d -trace game.trace [-threshold 0.5] [-interval 4] [-fast] [-lenient]
 //	subset3d -stream game.stream [-lenient] [-timeout 30s]
 //	subset3d -trace game.trace -manifest run.json -log-level info
 //
-// -fast skips the per-frame clustering evaluation (the expensive part)
-// and only builds and validates the subset. -stream consumes a
-// frame-stream trace in one bounded-memory pass (no evaluation or
-// validation sweep — the parent never exists in memory).
+// -trace reads a whole workload in any encoding (gob, JSON or a stream
+// container). -fast skips the per-frame clustering evaluation (the
+// expensive part) and only builds and validates the subset. -stream
+// consumes a frame-stream trace in one bounded-memory pass (no
+// evaluation or validation sweep — the parent never exists in memory).
 //
 // -lenient ingests damaged captures gracefully: corrupt records are
 // resynced past, invalid frames and draws dropped, and the run ends
@@ -81,7 +82,7 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.tracePath, "trace", "", "input .trace file (required)")
+	flag.StringVar(&cfg.tracePath, "trace", "", "input workload: gob .trace, JSON or stream container")
 	flag.Float64Var(&cfg.threshold, "threshold", core.DefaultOptions().Subset.Method.Threshold, "leader clustering threshold")
 	flag.StringVar(&cfg.mode, "cluster-mode", "exact", "clustering hot-path strategy: exact or bucketed (bucketed is approximate but sub-linear)")
 	flag.IntVar(&cfg.interval, "interval", core.DefaultOptions().Subset.Phase.IntervalFrames, "phase detection interval (frames)")
@@ -160,7 +161,6 @@ func runStream(ctx context.Context, run *obs.Run, cfg config) error {
 		return err
 	}
 	opt.Phase.IntervalFrames = cfg.interval
-	opt.Lenient = cfg.lenient
 	res, err := stream.RunContext(ctx, r, opt)
 	if err != nil {
 		return err
@@ -191,13 +191,20 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 		return err
 	}
 	defer f.Close()
-	w, err := trace.Decode(f)
+	w, _, diag, err := trace.ReadWorkload(f, trace.ReaderOptions{Lenient: cfg.lenient})
 	if err != nil {
 		sp.End()
 		return err
 	}
 	sp.AddItems(int64(w.NumFrames()))
 	sp.End()
+	if cfg.lenient {
+		run.RecordDiagnostics(diag.Map())
+		if diag.Any() {
+			run.Logger().Warn("lenient decoding degraded the workload",
+				"workload", w.Name, "diagnostics", diag.String())
+		}
+	}
 
 	opt := core.DefaultOptions()
 	opt.Subset.Method.Threshold = cfg.threshold
@@ -207,7 +214,6 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 	}
 	opt.Subset.Phase.IntervalFrames = cfg.interval
 	opt.SkipClusteringEval = cfg.fast
-	opt.Lenient = cfg.lenient
 	opt.Workers = cfg.workers
 	opt.Cache, err = cache.FromFlags(cfg.cacheDir, cfg.cacheMem)
 	if err != nil {
@@ -221,6 +227,7 @@ func runTrace(ctx context.Context, run *obs.Run, cfg config) error {
 	if err != nil {
 		return err
 	}
+	rep.Diagnostics = diag
 	_, rsp := obs.StartSpan(ctx, "render-report")
 	rep.Render(cfg.out)
 	rsp.End()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/trace"
+	"repro/internal/traceerr"
 )
 
 // testProfile is the corpus shrunk to e2e-test scale.
@@ -258,4 +260,53 @@ func contains(ss []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// writeDamagedTrace writes the test workload as a gob trace whose
+// frame 2 draw 0 has an impossible overdraw.
+func writeDamagedTrace(t *testing.T, dir string) string {
+	t.Helper()
+	w, err := synth.Generate(testProfile(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Frames[2].Draws[0].Overdraw = 0.2
+	path := filepath.Join(dir, "damaged.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestTraceLenientRepairsDamage: -lenient reaches the batch -trace
+// path. The damaged draw is dropped while decoding and the report says
+// so; without -lenient the run fails on that draw.
+func TestTraceLenientRepairsDamage(t *testing.T) {
+	path := writeDamagedTrace(t, t.TempDir())
+
+	var out bytes.Buffer
+	cfg := defaultTestConfig(t)
+	cfg.tracePath = path
+	cfg.fast = true
+	cfg.lenient = true
+	cfg.out = &out
+	if err := execute(context.Background(), cfg); err != nil {
+		t.Fatalf("lenient run: %v", err)
+	}
+	if want := fmt.Sprintf("degraded: %v\n", traceerr.Diagnostics{DrawsDropped: 1}); !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
+	}
+
+	cfg.lenient = false
+	err := execute(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "frame 2 draw 0: overdraw 0.2 < 1") {
+		t.Errorf("strict run: err = %v, want the overdraw rejection", err)
+	}
 }

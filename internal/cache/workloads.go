@@ -3,9 +3,7 @@ package cache
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -115,10 +113,9 @@ func (c *Cache) LoadWorkloads(ctx context.Context) ([]*trace.Workload, error) {
 }
 
 // loadWorkloadFile reads one store file: framed container, strict
-// stream-v2 decode (the bytes were written by this process family, so
-// any damage is damage — leniency would mask it), and the identity
-// check that the content's fingerprint matches the name it was stored
-// under.
+// decode (the bytes were written by this process family, so any damage
+// is damage — leniency would mask it), and the identity check that the
+// content's fingerprint matches the name it was stored under.
 func (c *Cache) loadWorkloadFile(path string) (*trace.Workload, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -128,27 +125,14 @@ func (c *Cache) loadWorkloadFile(path string) (*trace.Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr, err := trace.NewStreamReader(bytes.NewReader(payload), trace.ReaderOptions{})
+	w, err := trace.Decode(bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
-	var frames []trace.Frame
-	for {
-		f, err := sr.NextFrame()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, f)
-	}
-	w := *sr.Shell()
-	w.Frames = frames
 	fp := w.Fingerprint()
 	want := strings.TrimSuffix(filepath.Base(path), workloadExt)
 	if fp.String() != want {
 		return nil, fmt.Errorf("cache: workload fingerprint %s does not match store name %s", fp, want)
 	}
-	return &w, nil
+	return w, nil
 }

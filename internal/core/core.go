@@ -54,12 +54,6 @@ type Options struct {
 	// when only the subset is wanted.
 	SkipClusteringEval bool
 
-	// Lenient makes Run sanitize a damaged workload — dropping invalid
-	// draws and unusable frames, accounted in the report's Diagnostics
-	// — instead of rejecting it outright. The run still fails if
-	// nothing usable survives.
-	Lenient bool
-
 	// Workers bounds the goroutine fan-out of every pipeline stage:
 	// clustering evaluation, phase detection, subset clustering and the
 	// validation sweep (<= 0 selects GOMAXPROCS, 1 runs fully
@@ -140,8 +134,9 @@ type Report struct {
 	Validation sweep.Result
 	Validated  bool
 
-	// Diagnostics accounts for draws and frames dropped by lenient
-	// sanitization. Zero on clean inputs and in strict mode.
+	// Diagnostics accounts for draws and frames lenient decoding
+	// dropped (trace.ReadWorkload). Run never repairs a workload, so
+	// the caller that decoded it fills this in; Render then reports it.
 	Diagnostics traceerr.Diagnostics
 }
 
@@ -152,38 +147,19 @@ func (s *Subsetter) Run(w *trace.Workload) (*Report, error) {
 
 // RunContext executes the pipeline on one workload, honoring
 // cancellation between pipeline stages and inside the validation
-// sweep. In lenient mode a damaged workload is sanitized first.
+// sweep. The workload is taken on trust: it was validated (or
+// leniently repaired) where it entered (see trace.Workload).
 func (s *Subsetter) RunContext(ctx context.Context, w *trace.Workload) (*Report, error) {
 	if s.opt.Obs != nil && obs.RunFromContext(ctx) == nil {
 		ctx = s.opt.Obs.Context(ctx)
 	}
 	run := obs.RunFromContext(ctx)
 
-	rep := &Report{}
-	if s.opt.Lenient {
-		_, sp := obs.StartSpan(ctx, "sanitize")
-		diag, err := w.Sanitize()
-		sp.AddItems(int64(len(w.Frames)))
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		rep.Diagnostics = diag
-		run.RecordDiagnostics(diag.Map())
-		if diag.Any() {
-			run.Logger().Warn("lenient sanitization degraded the workload",
-				"workload", w.Name, "draws_dropped", diag.DrawsDropped, "frames_skipped", diag.FramesSkipped)
-		}
-	} else if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	rep.Summary = trace.Summarize(w)
+	rep := &Report{Summary: trace.Summarize(w)}
 	run.Logger().Info("workload ready", "workload", w.Name,
 		"frames", rep.Summary.Frames, "draws", rep.Summary.Draws)
 
-	// Bind the cache once, after sanitization settled the workload's
-	// content: the fingerprint must describe the frames the stages
-	// actually see. Every downstream stage then shares the binding.
+	// Bind the cache once: every downstream stage shares the binding.
 	if s.opt.Cache != nil {
 		if _, _, bound := cache.ForWorkload(ctx); !bound {
 			_, fsp := obs.StartSpan(ctx, "fingerprint")

@@ -1,13 +1,43 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/trace"
 	"repro/internal/traceerr"
 )
+
+// decodeAndRun is the pipeline as the CLIs drive it: w's encoded bytes
+// cross the trust boundary (trace.ReadWorkload, strict or lenient),
+// and the decoded workload runs with the decoder's accounting in the
+// report.
+func decodeAndRun(t *testing.T, w *trace.Workload, lenient bool, opt Options) (*Report, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := w.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dw, _, diag, err := trace.ReadWorkload(&buf, trace.ReaderOptions{Lenient: lenient})
+	if err != nil {
+		return nil, err
+	}
+	s, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run(dw)
+	if err != nil {
+		return nil, err
+	}
+	rep.Diagnostics = diag
+	return rep, nil
+}
 
 func TestLenientRunSanitizesDamage(t *testing.T) {
 	w := coreGame(t)
@@ -19,22 +49,13 @@ func TestLenientRunSanitizesDamage(t *testing.T) {
 	}
 	droppedWhole := len(w.Frames[5].Draws)
 
-	strict, err := New(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := strict.Run(w); err == nil {
+	if _, err := decodeAndRun(t, w, false, DefaultOptions()); err == nil {
 		t.Fatal("strict mode accepted damaged workload")
 	}
 
 	opt := DefaultOptions()
-	opt.Lenient = true
 	opt.SkipClusteringEval = true
-	lenient, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := lenient.Run(w)
+	rep, err := decodeAndRun(t, w, true, opt)
 	if err != nil {
 		t.Fatalf("lenient run failed: %v", err)
 	}
@@ -51,6 +72,11 @@ func TestLenientRunSanitizesDamage(t *testing.T) {
 	if rep.Subset == nil || len(rep.Subset.Frames) == 0 {
 		t.Fatal("no subset built from sanitized workload")
 	}
+	var out bytes.Buffer
+	rep.Render(&out)
+	if want := fmt.Sprintf("degraded: %v\n", d); !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
+	}
 }
 
 func TestLenientRunRejectsUnusableWorkload(t *testing.T) {
@@ -60,13 +86,7 @@ func TestLenientRunRejectsUnusableWorkload(t *testing.T) {
 			w.Frames[fi].Draws[di].VertexCount = -1
 		}
 	}
-	opt := DefaultOptions()
-	opt.Lenient = true
-	s, err := New(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(w); !errors.Is(err, traceerr.ErrInvalidFrame) {
+	if _, err := decodeAndRun(t, w, true, DefaultOptions()); !errors.Is(err, traceerr.ErrInvalidFrame) {
 		t.Fatalf("err = %v, want ErrInvalidFrame", err)
 	}
 }

@@ -110,8 +110,7 @@ func TestRunSkipEvalAndValidation(t *testing.T) {
 func TestRunRejectsInvalidWorkload(t *testing.T) {
 	w := coreGame(t)
 	w.Frames[0].Draws[0].Overdraw = 0
-	s, _ := New(DefaultOptions())
-	if _, err := s.Run(w); err == nil {
+	if _, err := decodeAndRun(t, w, false, DefaultOptions()); err == nil {
 		t.Error("invalid workload accepted")
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Per-draw feature extraction is the innermost loop of the subsetting
 // hot path; it must not allocate. The flat lookup tables built once in
-// NewShellExtractor exist to make this hold — a regression here shows
+// NewExtractor exist to make this hold — a regression here shows
 // up as per-draw map or slice churn across the whole corpus.
 func TestDrawIntoZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {

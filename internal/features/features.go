@@ -130,20 +130,12 @@ type Extractor struct {
 	rtLogPixels []float64 // math.Log1p(rtPixels), by RTID
 }
 
-// NewExtractor validates the workload and pre-analyzes its shaders.
+// NewExtractor pre-analyzes the workload's shaders and resource
+// tables. It reads no frames, so a frameless stream shell
+// (trace.StreamReader.Shell) binds as well as a whole workload. The
+// workload is taken on trust (see trace.Workload); DrawInto panics on
+// a dangling reference.
 func NewExtractor(w *trace.Workload) (*Extractor, error) {
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("features: %w", err)
-	}
-	return NewShellExtractor(w)
-}
-
-// NewShellExtractor builds an extractor against a workload that may
-// have no frames — the streaming case, where the shell carries only
-// resource tables and frames arrive one at a time. Per-draw resource
-// references are still checked (DrawInto panics on dangling ones); the
-// whole-workload validation that requires frames is skipped.
-func NewShellExtractor(w *trace.Workload) (*Extractor, error) {
 	if w.Shaders == nil {
 		return nil, fmt.Errorf("features: workload %q has nil shader registry", w.Name)
 	}

@@ -137,14 +137,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestNewExtractorValidates(t *testing.T) {
-	w := tracetest.Tiny()
-	w.Frames[0].Draws[0].Overdraw = 0
-	if _, err := NewExtractor(w); err == nil {
-		t.Error("invalid workload accepted")
-	}
-}
-
 func TestDrawIntoPanics(t *testing.T) {
 	w := tracetest.Tiny()
 	e, _ := NewExtractor(w)

@@ -93,14 +93,12 @@ func newSimulator(cfg Config, w *trace.Workload, res resources) *Simulator {
 	}
 }
 
-// NewSimulator validates the config and workload and builds the
-// config-independent resource terms (see resources).
+// NewSimulator validates the config and builds the config-independent
+// resource terms (see resources). The workload is taken on trust: it
+// was validated where it entered (see trace.Workload).
 func NewSimulator(cfg Config, w *trace.Workload) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("gpu: %w", err)
 	}
 	return newSimulator(cfg, w, newResources(w)), nil
 }
@@ -109,8 +107,8 @@ func NewSimulator(cfg Config, w *trace.Workload) (*Simulator, error) {
 func (s *Simulator) Config() Config { return s.cfg }
 
 // WithConfig derives a simulator for another configuration over the
-// same workload. Workload validation and the resource terms depend
-// only on the workload, so both are shared with the receiver: deriving
+// same workload. The resource terms depend only on the workload, so
+// they are shared with the receiver: deriving
 // a config is O(1) where NewSimulator walks every draw. Grid sweeps
 // construct one base simulator and derive the rest — without this, a
 // warm result cache would still pay a full workload walk per config

@@ -36,11 +36,6 @@ func TestNewSimulatorValidates(t *testing.T) {
 	if _, err := NewSimulator(bad, w); err == nil {
 		t.Error("invalid config accepted")
 	}
-	broken := tracetest.Tiny()
-	broken.Frames[0].Draws[0].Overdraw = 0
-	if _, err := NewSimulator(BaseConfig(), broken); err == nil {
-		t.Error("invalid workload accepted")
-	}
 }
 
 func TestDrawCostPositiveAndConsistent(t *testing.T) {

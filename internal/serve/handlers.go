@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -140,46 +137,18 @@ type UploadResponse struct {
 	Diagnostics traceerr.Diagnostics `json:"diagnostics"`
 }
 
-// handleUpload ingests a workload in any of the three encodings,
-// sniffed from the first bytes: stream-v2 container ("3DWS" magic),
-// JSON ('{'), or binary gob. Lenient by default — damaged uploads are
-// repaired with the damage accounted in the response — strict when the
-// server was configured Strict.
+// handleUpload ingests a workload in any of the three encodings
+// trace.ReadWorkload sniffs (stream container, JSON or gob). Lenient
+// by default — damaged uploads are repaired with the damage accounted
+// in the response — strict when the server was configured Strict. An
+// upload past MaxBodyBytes is 413 too_large in every encoding and mode.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 	defer body.Close()
-	br := bufio.NewReader(body)
-
-	head, err := br.Peek(len(trace.StreamMagic))
-	if err != nil && len(head) == 0 {
-		s.writeErr(w, fmt.Errorf("empty upload: %w", traceerr.ErrTruncated))
-		return
-	}
-
-	var (
-		wl     *trace.Workload
-		diag   traceerr.Diagnostics
-		format string
-	)
-	switch {
-	case bytes.HasPrefix(head, []byte(trace.StreamMagic)) || bytes.HasPrefix([]byte(trace.StreamMagic), head):
-		format = "stream"
-		wl, diag, err = readStream(br, s.opt.Strict)
-	case head[0] == '{':
-		format = "json"
-		if s.opt.Strict {
-			wl, err = trace.DecodeJSONLimited(br, s.opt.MaxBodyBytes)
-		} else {
-			wl, diag, err = trace.DecodeJSONLenient(br, s.opt.MaxBodyBytes)
-		}
-	default:
-		format = "gob"
-		if s.opt.Strict {
-			wl, err = trace.DecodeLimited(br, s.opt.MaxBodyBytes)
-		} else {
-			wl, diag, err = trace.DecodeLenient(br, s.opt.MaxBodyBytes)
-		}
-	}
+	wl, format, diag, err := trace.ReadWorkload(body, trace.ReaderOptions{
+		Lenient:  !s.opt.Strict,
+		MaxBytes: s.opt.MaxBodyBytes,
+	})
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -190,7 +159,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		FP:      wl.Fingerprint(),
 		Summary: trace.Summarize(wl),
 		Diag:    diag,
-		Format:  format,
+		Format:  string(format),
 	}
 	created, err := s.reg.register(e)
 	if err != nil {
@@ -235,39 +204,11 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		Fingerprint:       e.FP.String(),
 		Frames:            e.Summary.Frames,
 		Draws:             e.Summary.Draws,
-		Format:            format,
+		Format:            string(format),
 		AlreadyRegistered: !created,
 		Degraded:          diag.Any(),
 		Diagnostics:       diag,
 	})
-}
-
-// readStream assembles a workload from a stream-v2 (or legacy v1)
-// container. A stream that yields no usable frames is rejected as
-// invalid rather than registered empty.
-func readStream(in io.Reader, strict bool) (*trace.Workload, traceerr.Diagnostics, error) {
-	sr, err := trace.NewStreamReader(in, trace.ReaderOptions{Lenient: !strict})
-	if err != nil {
-		return nil, traceerr.Diagnostics{}, err
-	}
-	var frames []trace.Frame
-	for {
-		f, err := sr.NextFrame()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, sr.Diagnostics(), err
-		}
-		frames = append(frames, f)
-	}
-	diag := sr.Diagnostics()
-	if len(frames) == 0 {
-		return nil, diag, fmt.Errorf("stream yields no usable frames: %w", traceerr.ErrInvalidFrame)
-	}
-	wl := *sr.Shell()
-	wl.Frames = frames
-	return &wl, diag, nil
 }
 
 // WorkloadInfo is one registry listing entry.

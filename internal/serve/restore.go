@@ -33,7 +33,7 @@ func (s *Server) RestoreWorkloads(ctx context.Context) (int, error) {
 			W:       wl,
 			FP:      wl.Fingerprint(),
 			Summary: trace.Summarize(wl),
-			Format:  "stream",
+			Format:  string(trace.FormatStream),
 		}
 		created, err := s.reg.register(e)
 		if errors.Is(err, ErrRegistryFull) {

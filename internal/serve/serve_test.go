@@ -113,6 +113,40 @@ func TestUploadFormats(t *testing.T) {
 	}
 }
 
+// TestUploadTooLarge: an upload past MaxBodyBytes is 413 too_large in
+// every encoding and ingestion mode — the cap is one check at the
+// trace boundary, not a per-decoder outcome.
+func TestUploadTooLarge(t *testing.T) {
+	wl := tracetest.Tiny()
+	var gobBuf, jsonBuf bytes.Buffer
+	if err := wl.Encode(&gobBuf); err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.EncodeJSON(&jsonBuf); err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string][]byte{
+		"gob":    gobBuf.Bytes(),
+		"json":   jsonBuf.Bytes(),
+		"stream": streamBody(t, wl),
+	}
+	for format, body := range bodies {
+		for _, strict := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/strict=%v", format, strict), func(t *testing.T) {
+				s := newTestServer(t, Options{Strict: strict, MaxBodyBytes: int64(len(body)) / 2})
+				rec := do(s.Handler(), "POST", "/v1/workloads", body)
+				var eb errorBody
+				if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+					t.Fatalf("status %d, body %q: %v", rec.Code, rec.Body, err)
+				}
+				if rec.Code != http.StatusRequestEntityTooLarge || eb.Class != "too_large" {
+					t.Errorf("status %d class %q (%s), want 413 too_large", rec.Code, eb.Class, eb.Error)
+				}
+			})
+		}
+	}
+}
+
 func TestUploadIdempotent(t *testing.T) {
 	s := newTestServer(t, Options{})
 	h := s.Handler()

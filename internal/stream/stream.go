@@ -28,11 +28,6 @@ type Options struct {
 	Method subset.Method
 	Phase  phase.Options
 
-	// Lenient makes Push skip unusable frames (accounted in the
-	// result's Diagnostics) instead of failing the run — pair it with a
-	// lenient trace.StreamReader to survive damaged captures.
-	Lenient bool
-
 	// Obs attaches an observability run to RunContext: the drain
 	// becomes a "stream-ingest" span and the frame/phase counts and
 	// degradation accounting feed its metrics. Nil is a complete
@@ -54,9 +49,9 @@ type Result struct {
 	ParentDraws  int
 	Timeline     string
 
-	// Diagnostics accounts for everything skipped on the way here —
-	// the reader's resyncs plus frames the subsetter itself dropped.
-	// Zero on a clean strict run.
+	// Diagnostics is the reader's accounting of everything a lenient
+	// trace.StreamReader skipped on the way here. Zero on a clean or
+	// strict run.
 	Diagnostics traceerr.Diagnostics
 }
 
@@ -96,7 +91,6 @@ type Subsetter struct {
 	timeline   []byte // one rune per interval
 	frames     []subset.Frame
 	finished   bool
-	diag       traceerr.Diagnostics
 }
 
 // New builds a streaming subsetter bound to the stream's shell
@@ -105,7 +99,7 @@ func New(shell *trace.Workload, opt Options) (*Subsetter, error) {
 	if err := opt.Phase.Validate(); err != nil {
 		return nil, err
 	}
-	fc, err := subset.NewShellFrameClusterer(shell, opt.Method)
+	fc, err := subset.NewFrameClusterer(shell, opt.Method)
 	if err != nil {
 		return nil, err
 	}
@@ -117,17 +111,13 @@ func New(shell *trace.Workload, opt Options) (*Subsetter, error) {
 	}, nil
 }
 
-// Push consumes one frame. In lenient mode an unusable frame is
-// skipped and accounted instead of failing the run.
+// Push consumes one frame. Frames from a trace.StreamReader are
+// already validated (or, leniently, repaired) and never empty.
 func (s *Subsetter) Push(f trace.Frame) error {
 	if s.finished {
 		return fmt.Errorf("stream: Push after Finish")
 	}
 	if len(f.Draws) == 0 {
-		if s.opt.Lenient {
-			s.diag.FramesSkipped++
-			return nil
-		}
 		return fmt.Errorf("stream: frame %d has no draws: %w", s.frameIdx, traceerr.ErrInvalidFrame)
 	}
 	s.buf = append(s.buf, f)
@@ -202,7 +192,6 @@ func (s *Subsetter) Finish() (*Result, error) {
 		ParentFrames: s.frameIdx,
 		ParentDraws:  s.draws,
 		Timeline:     string(s.timeline),
-		Diagnostics:  s.diag,
 	}, nil
 }
 
@@ -247,7 +236,7 @@ func RunContext(ctx context.Context, src *trace.StreamReader, opt Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	res.Diagnostics.Add(src.Diagnostics())
+	res.Diagnostics = src.Diagnostics()
 	if run != nil {
 		reg := run.Metrics()
 		reg.Counter("stream.frames").Add(int64(res.ParentFrames))

@@ -47,9 +47,7 @@ func TestLenientCorruptionMatchesCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.Lenient = true
-	got, err := RunContext(context.Background(), r, opt)
+	got, err := RunContext(context.Background(), r, DefaultOptions())
 	if err != nil {
 		t.Fatalf("lenient run failed: %v", err)
 	}
@@ -156,23 +154,27 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-func TestLenientPushSkipsEmptyFrames(t *testing.T) {
+// TestLenientReaderSkipsEmptyFrames: an empty frame is repaired where
+// it enters — the lenient reader skips and accounts it — so the
+// subsetter never sees one and the run covers the 8 real frames.
+func TestLenientReaderSkipsEmptyFrames(t *testing.T) {
 	w := streamGame(t)
-	opt := DefaultOptions()
-	opt.Lenient = true
-	s, err := New(shellOf(t, w), opt)
+	var buf bytes.Buffer
+	enc, err := trace.NewStreamEncoder(&buf, trace.HeaderOf(w))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Push(trace.Frame{}); err != nil {
-		t.Fatalf("lenient Push rejected empty frame: %v", err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := s.Push(w.Frames[i]); err != nil {
+	frames := append([]trace.Frame{{}}, w.Frames[:8]...)
+	for i := range frames {
+		if err := enc.WriteFrame(&frames[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := s.Finish()
+	r, err := trace.NewStreamReader(bytes.NewReader(buf.Bytes()), trace.ReaderOptions{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(r, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,5 +183,13 @@ func TestLenientPushSkipsEmptyFrames(t *testing.T) {
 	}
 	if res.Diagnostics.FramesSkipped != 1 {
 		t.Errorf("FramesSkipped = %d, want 1", res.Diagnostics.FramesSkipped)
+	}
+
+	strict, err := trace.NewStreamReader(bytes.NewReader(buf.Bytes()), trace.ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(strict, DefaultOptions()); !errors.Is(err, traceerr.ErrInvalidFrame) {
+		t.Errorf("strict run over an empty frame: err = %v, want ErrInvalidFrame", err)
 	}
 }

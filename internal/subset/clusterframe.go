@@ -212,33 +212,19 @@ type FrameClusterer struct {
 	featIdx []int // nil = all features
 }
 
-// NewFrameClusterer validates the method and prepares extraction.
+// NewFrameClusterer validates the method and prepares extraction. The
+// frames it clusters need not be stored in w: a frameless stream shell
+// (trace.StreamReader.Shell) clusters the frames streamed past it.
 func NewFrameClusterer(w *trace.Workload, m Method) (*FrameClusterer, error) {
 	ex, err := features.NewExtractor(w)
 	if err != nil {
 		return nil, err
 	}
-	return newClusterer(ex, m)
-}
-
-// NewShellFrameClusterer is the streaming variant: it binds to a
-// frameless shell workload (trace.Header.Shell) and clusters frames
-// that are not stored in the workload.
-func NewShellFrameClusterer(w *trace.Workload, m Method) (*FrameClusterer, error) {
-	ex, err := features.NewShellExtractor(w)
-	if err != nil {
-		return nil, err
-	}
-	return newClusterer(ex, m)
-}
-
-func newClusterer(ex *features.Extractor, m Method) (*FrameClusterer, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
 	var idx []int
 	if len(m.FeatureGroups) > 0 {
-		var err error
 		idx, err = features.GroupIndices(m.FeatureGroups...)
 		if err != nil {
 			return nil, err

@@ -428,7 +428,7 @@ func TestShellFrameClustererLocal(t *testing.T) {
 		Textures:      w.Textures,
 		RenderTargets: w.RenderTargets,
 	}
-	fc, err := NewShellFrameClusterer(shell, DefaultMethod())
+	fc, err := NewFrameClusterer(shell, DefaultMethod())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestShellFrameClustererLocal(t *testing.T) {
 		t.Errorf("shell K %d != full K %d", cf.Result.K, cf2.Result.K)
 	}
 	bad := &trace.Workload{Name: "x"}
-	if _, err := NewShellFrameClusterer(bad, DefaultMethod()); err == nil {
+	if _, err := NewFrameClusterer(bad, DefaultMethod()); err == nil {
 		t.Error("nil-registry shell accepted")
 	}
 }

@@ -2,10 +2,16 @@ package trace_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"testing"
 
+	"repro/internal/features"
+	"repro/internal/gpu"
+	"repro/internal/subset"
 	"repro/internal/trace"
+	"repro/internal/traceerr"
 	"repro/internal/tracetest"
 )
 
@@ -112,4 +118,68 @@ func abs(v int) int {
 		return -v
 	}
 	return v
+}
+
+// FuzzDecodeThenPrice is the trust boundary's safety net. Arbitrary
+// bytes go through ReadWorkload in both modes; a failure must carry a
+// traceerr class, and a workload that comes out must survive every
+// consumer that takes it on trust — extract, cluster, price — without
+// a panic or an error.
+func FuzzDecodeThenPrice(f *testing.F) {
+	for _, w := range []*trace.Workload{tracetest.Tiny(), tracetest.TinySparseIDs()} {
+		var gobBuf, jsonBuf, streamBuf bytes.Buffer
+		if err := w.Encode(&gobBuf); err != nil {
+			f.Fatal(err)
+		}
+		if err := w.EncodeJSON(&jsonBuf); err != nil {
+			f.Fatal(err)
+		}
+		if err := trace.EncodeStream(&streamBuf, w); err != nil {
+			f.Fatal(err)
+		}
+		for _, valid := range [][]byte{gobBuf.Bytes(), jsonBuf.Bytes(), streamBuf.Bytes()} {
+			f.Add(valid)
+			f.Add(valid[:len(valid)/2])
+			flipped := append([]byte(nil), valid...)
+			for i := len(flipped) / 3; i < len(flipped); i += len(flipped) / 5 {
+				flipped[i] ^= 0x10
+			}
+			f.Add(flipped)
+		}
+	}
+
+	classes := []error{traceerr.ErrTruncated, traceerr.ErrCorruptRecord, traceerr.ErrVersionMismatch,
+		traceerr.ErrInvalidFrame, traceerr.ErrTooLarge}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, lenient := range []bool{false, true} {
+			w, _, _, err := trace.ReadWorkload(bytes.NewReader(data), trace.ReaderOptions{Lenient: lenient, MaxBytes: 1 << 20})
+			if err != nil {
+				typed := false
+				for _, c := range classes {
+					typed = typed || errors.Is(err, c)
+				}
+				if !typed {
+					t.Fatalf("lenient=%v: untyped error: %v", lenient, err)
+				}
+				continue
+			}
+			if _, err := features.NewExtractor(w); err != nil {
+				t.Fatalf("lenient=%v: extractor rejected a decoded workload: %v", lenient, err)
+			}
+			fc, err := subset.NewFrameClusterer(w, subset.DefaultMethod())
+			if err != nil {
+				t.Fatalf("lenient=%v: clusterer rejected a decoded workload: %v", lenient, err)
+			}
+			if _, err := fc.ClusterFrames(context.Background(), w.Frames, nil, 1); err != nil {
+				t.Fatalf("lenient=%v: clustering a decoded workload: %v", lenient, err)
+			}
+			sim, err := gpu.NewSimulator(gpu.BaseConfig(), w)
+			if err != nil {
+				t.Fatalf("lenient=%v: simulator rejected a decoded workload: %v", lenient, err)
+			}
+			for i := range w.Frames {
+				sim.FrameNs(&w.Frames[i])
+			}
+		}
+	})
 }

@@ -34,7 +34,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"Name": "tiny"`) {
 		t.Error("JSON output missing expected field")
 	}
-	got, err := trace.DecodeJSON(&buf)
+	got, err := trace.Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,43 +91,126 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := trace.Decode(strings.NewReader("not a gob stream")); err == nil {
 		t.Error("garbage gob accepted")
 	}
-	if _, err := trace.DecodeJSON(strings.NewReader("{")); err == nil {
+	if _, err := trace.Decode(strings.NewReader("{")); err == nil {
 		t.Error("garbage JSON accepted")
 	}
 }
 
-func TestDecodeLimitedEnforcesSizeCap(t *testing.T) {
-	w := tracetest.Tiny()
-	var gobBuf, jsonBuf bytes.Buffer
+// encodings returns w in every encoding ReadWorkload sniffs.
+func encodings(t *testing.T, w *trace.Workload) map[trace.Format][]byte {
+	t.Helper()
+	var gobBuf, jsonBuf, streamBuf bytes.Buffer
 	if err := w.Encode(&gobBuf); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.EncodeJSON(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
+	if err := trace.EncodeStream(&streamBuf, w); err != nil {
+		t.Fatal(err)
+	}
+	return map[trace.Format][]byte{
+		trace.FormatGob:    gobBuf.Bytes(),
+		trace.FormatJSON:   jsonBuf.Bytes(),
+		trace.FormatStream: streamBuf.Bytes(),
+	}
+}
 
-	// A cap below the encoded size must reject with ErrTooLarge.
-	_, err := trace.DecodeLimited(bytes.NewReader(gobBuf.Bytes()), int64(gobBuf.Len())/2)
-	if !errors.Is(err, traceerr.ErrTooLarge) {
-		t.Fatalf("gob over cap: err = %v, want ErrTooLarge", err)
+func TestReadWorkloadSniffsFormats(t *testing.T) {
+	w := tracetest.Tiny()
+	for want, data := range encodings(t, w) {
+		for _, lenient := range []bool{false, true} {
+			got, format, diag, err := trace.ReadWorkload(bytes.NewReader(data), trace.ReaderOptions{Lenient: lenient})
+			if err != nil {
+				t.Fatalf("%s lenient=%v: %v", want, lenient, err)
+			}
+			if format != want || diag.Any() {
+				t.Errorf("%s lenient=%v: format %q diag %v", want, lenient, format, diag)
+			}
+			assertWorkloadsEqual(t, w, got)
+		}
 	}
-	_, err = trace.DecodeJSONLimited(bytes.NewReader(jsonBuf.Bytes()), int64(jsonBuf.Len())/2)
-	if !errors.Is(err, traceerr.ErrTooLarge) {
-		t.Fatalf("json over cap: err = %v, want ErrTooLarge", err)
-	}
+}
 
-	// At or above the encoded size both decoders succeed.
-	if _, err := trace.DecodeLimited(bytes.NewReader(gobBuf.Bytes()), int64(gobBuf.Len())); err != nil {
-		t.Fatalf("gob at exact cap: %v", err)
+func TestReadWorkloadEnforcesSizeCap(t *testing.T) {
+	for format, data := range encodings(t, tracetest.Tiny()) {
+		for _, lenient := range []bool{false, true} {
+			read := func(in []byte, max int64) error {
+				_, _, _, err := trace.ReadWorkload(bytes.NewReader(in), trace.ReaderOptions{Lenient: lenient, MaxBytes: max})
+				return err
+			}
+			// A cap below the encoded size must reject with ErrTooLarge.
+			if err := read(data, int64(len(data))/2); !errors.Is(err, traceerr.ErrTooLarge) {
+				t.Errorf("%s lenient=%v over cap: err = %v, want ErrTooLarge", format, lenient, err)
+			}
+			// Input of exactly the cap is within it.
+			if err := read(data, int64(len(data))); err != nil {
+				t.Errorf("%s lenient=%v at exact cap: %v", format, lenient, err)
+			}
+			// A truncated-but-small input must NOT be misreported as
+			// too large.
+			err := read(data[:len(data)/2], int64(len(data)))
+			if err == nil || errors.Is(err, traceerr.ErrTooLarge) {
+				t.Errorf("%s lenient=%v truncated: err = %v, want a failure that is not ErrTooLarge", format, lenient, err)
+			}
+		}
 	}
-	if _, err := trace.DecodeJSONLimited(bytes.NewReader(jsonBuf.Bytes()), int64(jsonBuf.Len())+1); err != nil {
-		t.Fatalf("json within cap: %v", err)
-	}
+}
 
-	// A truncated-but-small input must NOT be misreported as too large.
-	_, err = trace.DecodeLimited(bytes.NewReader(gobBuf.Bytes()[:gobBuf.Len()/2]), int64(gobBuf.Len()))
-	if err == nil || errors.Is(err, traceerr.ErrTooLarge) {
-		t.Fatalf("truncated input: err = %v, want decode failure that is not ErrTooLarge", err)
+// TestReadWorkloadClassifiesEveryFailure: whatever goes wrong, the
+// boundary's error carries a traceerr class, so ingestion layers map
+// it without string matching.
+func TestReadWorkloadClassifiesEveryFailure(t *testing.T) {
+	enc := encodings(t, tracetest.Tiny())
+	noShaders := tracetest.Tiny()
+	noShaders.Name = ""
+	cases := []struct {
+		name  string
+		data  []byte
+		class error
+	}{
+		{"empty", nil, traceerr.ErrTruncated},
+		{"garbage gob", []byte("\x05\xff\xff\xff\xff\xff"), traceerr.ErrCorruptRecord},
+		{"truncated gob", enc[trace.FormatGob][:len(enc[trace.FormatGob])/2], traceerr.ErrTruncated},
+		{"truncated json", enc[trace.FormatJSON][:len(enc[trace.FormatJSON])/2], traceerr.ErrTruncated},
+		{"bare magic", []byte(trace.StreamMagic), traceerr.ErrTruncated},
+		{"future version", []byte(trace.StreamMagic + "\x07"), traceerr.ErrVersionMismatch},
+		{"unnamed json", []byte(`{"Name": ""}`), traceerr.ErrInvalidFrame},
+		{"unnamed stream", encodings(t, noShaders)[trace.FormatStream], traceerr.ErrInvalidFrame},
+	}
+	for _, tc := range cases {
+		for _, lenient := range []bool{false, true} {
+			_, _, _, err := trace.ReadWorkload(bytes.NewReader(tc.data), trace.ReaderOptions{Lenient: lenient})
+			if !errors.Is(err, tc.class) {
+				t.Errorf("%s lenient=%v: err = %v, want %v", tc.name, lenient, err, tc.class)
+			}
+		}
+	}
+}
+
+// TestReadWorkloadRejectsInvalidDraw: consumers (NewExtractor,
+// NewSimulator, the pipeline) trust what the boundary returns, so one
+// draw with an impossible overdraw must fail strict reading in every
+// encoding, naming the draw, and lenient reading must drop exactly
+// that draw.
+func TestReadWorkloadRejectsInvalidDraw(t *testing.T) {
+	w := tracetest.Tiny()
+	w.Frames[0].Draws[0].Overdraw = 0
+	for format, data := range encodings(t, w) {
+		_, _, _, err := trace.ReadWorkload(bytes.NewReader(data), trace.ReaderOptions{})
+		if !errors.Is(err, traceerr.ErrInvalidFrame) || !strings.Contains(err.Error(), "overdraw 0 < 1") {
+			t.Errorf("%s strict: err = %v, want invalid overdraw", format, err)
+		}
+		got, _, diag, err := trace.ReadWorkload(bytes.NewReader(data), trace.ReaderOptions{Lenient: true})
+		if err != nil {
+			t.Fatalf("%s lenient: %v", format, err)
+		}
+		if diag.DrawsDropped != 1 || diag.FramesSkipped != 0 || got.NumDraws() != w.NumDraws()-1 {
+			t.Errorf("%s lenient: diag %v, %d draws; want 1 of %d dropped", format, diag, got.NumDraws(), w.NumDraws())
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("%s lenient: repaired workload invalid: %v", format, err)
+		}
 	}
 }
 

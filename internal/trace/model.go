@@ -158,6 +158,15 @@ type Frame struct {
 
 // Workload is a complete captured workload: frames plus the resource
 // tables draw calls reference.
+//
+// A Workload is valid by construction: every constructor checks it
+// once, where the data enters — ReadWorkload and Decode, a
+// StreamReader's Header.Shell plus its per-frame checks, Sanitize,
+// synth.Generate, tracetest and apicmd replay. Consumers (extractors,
+// simulators, the pipeline) take it on trust and do not re-check; a
+// dangling reference reaching them panics as a bug. Code that edits a
+// workload in place re-establishes validity with Validate or Sanitize
+// before handing it on.
 type Workload struct {
 	Name          string
 	Frames        []Frame

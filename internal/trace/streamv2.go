@@ -39,9 +39,8 @@ import (
 // StreamVersion is the container version written by NewStreamEncoder.
 const StreamVersion = 2
 
-// StreamMagic is the byte string that opens a stream container,
-// exported so ingestion layers can sniff the format from a peek at the
-// first bytes before committing to a reader.
+// StreamMagic is the byte string that opens a stream container; it is
+// how ReadWorkload tells a stream from gob or JSON.
 const StreamMagic = "3DWS"
 
 // DefaultMaxRecordBytes caps a single record's payload. Lengths above
@@ -110,7 +109,6 @@ type recordScanner struct {
 	buf   []byte
 	off   int64 // absolute offset of buf[0]
 	rerr  error // sticky error from the underlying reader
-	max   int   // payload size cap
 	chunk []byte
 }
 
@@ -187,7 +185,7 @@ func (s *recordScanner) next(lenient bool, diag *traceerr.Diagnostics) (byte, []
 		kind := s.buf[4]
 		plen := binary.LittleEndian.Uint32(s.buf[5:9])
 		crc := binary.LittleEndian.Uint32(s.buf[9:13])
-		if (kind != recKindHeader && kind != recKindFrame) || int64(plen) > int64(s.max) {
+		if (kind != recKindHeader && kind != recKindFrame) || int64(plen) > DefaultMaxRecordBytes {
 			if !lenient {
 				return 0, nil, &traceerr.RecordError{
 					Kind: traceerr.ErrCorruptRecord, Record: -1, Frame: -1, Offset: s.off,
@@ -227,23 +225,28 @@ func (s *recordScanner) next(lenient bool, diag *traceerr.Diagnostics) (byte, []
 	}
 }
 
-// ReaderOptions configures a StreamReader.
+// ReaderOptions configures the trust boundary: ReadWorkload for whole
+// workloads and StreamReader for frame streams. Strict or lenient and
+// the size cap are its only two settings.
 type ReaderOptions struct {
-	// Lenient makes the reader skip damaged records and invalid frames
-	// (accounted in Diagnostics) instead of failing fast. The stream
-	// header itself must still parse — without the resource tables no
-	// frame can be interpreted.
+	// Lenient skips damaged records, invalid frames and invalid draws
+	// (accounted in Diagnostics) instead of failing fast. The resource
+	// tables (a stream's header record) must still parse — without
+	// them no frame can be interpreted.
 	Lenient bool
 
-	// MaxRecordBytes caps a single record payload (0 means
-	// DefaultMaxRecordBytes). Larger lengths are treated as corruption.
-	MaxRecordBytes int
+	// MaxBytes caps the input in bytes; reading past it fails with
+	// traceerr.ErrTooLarge. Zero means DefaultMaxDecodeBytes for
+	// ReadWorkload, which holds the whole workload in memory, and no
+	// cap for a StreamReader, whose memory is bounded by one record.
+	MaxBytes int64
 }
 
 // StreamReader reads frame streams in either format version with
 // optional graceful degradation. Construct with NewStreamReader.
 type StreamReader struct {
 	opt     ReaderOptions
+	capped  *cappedReader
 	shell   *Workload
 	check   *drawChecker // one validation pass over the whole stream
 	version int
@@ -259,15 +262,19 @@ type StreamReader struct {
 // NewStreamReader sniffs the format version, reads and validates the
 // stream header, and returns a reader positioned at the first frame.
 func NewStreamReader(in io.Reader, opt ReaderOptions) (*StreamReader, error) {
-	if opt.MaxRecordBytes <= 0 {
-		opt.MaxRecordBytes = DefaultMaxRecordBytes
+	r := &StreamReader{opt: opt, capped: newCappedReader(in, opt.MaxBytes)}
+	if err := r.readHeader(); err != nil {
+		return nil, r.capped.capErr(err)
 	}
-	sc := &recordScanner{r: in, max: opt.MaxRecordBytes}
+	return r, nil
+}
+
+func (r *StreamReader) readHeader() error {
+	sc := &recordScanner{r: r.capped}
 	sc.fill(len(streamMagic) + 1)
-	r := &StreamReader{opt: opt}
 	if len(sc.buf) >= len(streamMagic)+1 && bytes.Equal(sc.buf[:len(streamMagic)], streamMagic) {
 		if ver := sc.buf[len(streamMagic)]; int(ver) != StreamVersion {
-			return nil, &traceerr.RecordError{
+			return &traceerr.RecordError{
 				Kind: traceerr.ErrVersionMismatch, Record: -1, Frame: -1, Offset: int64(len(streamMagic)),
 				Cause: fmt.Errorf("stream version %d, this build reads v1 and v%d", ver, StreamVersion),
 			}
@@ -275,48 +282,50 @@ func NewStreamReader(in io.Reader, opt ReaderOptions) (*StreamReader, error) {
 		sc.discard(len(streamMagic) + 1)
 		r.version = 2
 		r.sc = sc
-		kind, payload, err := sc.next(opt.Lenient, &r.diag)
+		kind, payload, err := sc.next(r.opt.Lenient, &r.diag)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				err = &traceerr.RecordError{Kind: traceerr.ErrTruncated, Record: 0, Frame: -1, Offset: sc.off,
 					Cause: errors.New("stream ends before header record")}
 			}
-			return nil, fmt.Errorf("trace: decoding stream header: %w", r.atRecord(err))
+			return fmt.Errorf("trace: decoding stream header: %w", r.atRecord(err))
 		}
 		r.records++
 		if kind != recKindHeader {
-			return nil, fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
+			return fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
 				Kind: traceerr.ErrCorruptRecord, Record: 0, Frame: -1, Offset: sc.off,
 				Cause: fmt.Errorf("first record has kind %d, want header", kind)})
 		}
 		var h Header
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&h); err != nil {
-			return nil, fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
+			return fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
 				Kind: traceerr.ErrCorruptRecord, Record: 0, Frame: -1, Offset: sc.off, Cause: err})
 		}
-		shell, err := h.Shell()
-		if err != nil {
-			return nil, err
-		}
-		r.shell, r.check = shell, shell.newDrawChecker()
-		return r, nil
+		return r.bindHeader(h)
 	}
 
 	// No magic: legacy v1 raw gob. Replay the sniffed bytes.
 	r.version = 1
-	dec := gob.NewDecoder(io.MultiReader(bytes.NewReader(sc.buf), in))
+	dec := gob.NewDecoder(io.MultiReader(bytes.NewReader(sc.buf), r.capped))
 	var h Header
 	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
+		return fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
 			Kind: classifyDecodeErr(err), Record: 0, Frame: -1, Offset: -1, Cause: err})
 	}
+	r.dec = dec
+	return r.bindHeader(h)
+}
+
+// bindHeader materializes the shell the stream's frames are checked
+// against. A header that decoded but describes no usable workload is
+// classified as invalid content.
+func (r *StreamReader) bindHeader(h Header) error {
 	shell, err := h.Shell()
 	if err != nil {
-		return nil, err
+		return classed{traceerr.ErrInvalidFrame, err}
 	}
 	r.shell, r.check = shell, shell.newDrawChecker()
-	r.dec = dec
-	return r, nil
+	return nil
 }
 
 // classifyDecodeErr maps a gob failure onto the taxonomy: inputs that
@@ -354,8 +363,17 @@ func (r *StreamReader) Diagnostics() traceerr.Diagnostics { return r.diag }
 // NextFrame returns the next valid frame, or io.EOF after the last.
 // Strict mode fails on the first damaged record or invalid frame with
 // an error classified by the traceerr taxonomy; lenient mode skips the
-// damage, accounts for it in Diagnostics, and keeps going.
+// damage, accounts for it in Diagnostics, and keeps going. Neither
+// mode ever returns a frame without draws.
 func (r *StreamReader) NextFrame() (Frame, error) {
+	f, err := r.nextFrame()
+	if err != nil && err != io.EOF {
+		err = r.capped.capErr(err)
+	}
+	return f, err
+}
+
+func (r *StreamReader) nextFrame() (Frame, error) {
 	for {
 		var f Frame
 		if r.version == 2 {
