@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 vet lint build test cover cover-cluster cover-export cover-shard cover-coord fuzz-seeds bench bench-parallel bench-cache bench-hotpath bench-hotpath-check bench-shard bench-shard-check bench-coord bench-coord-check serve-smoke bench-serve coord-smoke clean
+.PHONY: tier1 vet lint build test cover cover-trace cover-cluster cover-export cover-shard cover-coord fuzz-seeds bench bench-parallel bench-cache bench-hotpath bench-hotpath-check bench-shard bench-shard-check bench-coord bench-coord-check serve-smoke bench-serve coord-smoke clean
 
 # BENCHTIME tunes the hot-path benchmark arms; 1s x 3 counts balances
 # noise robustness (benchjson keeps the fastest repetition) against CI
@@ -42,6 +42,16 @@ cover:
 	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	echo "internal/cache coverage: $$total%"; \
 	awk -v t="$$total" 'BEGIN { exit !(t + 0 >= 70) }' || { echo "FAIL: internal/cache coverage $$total% below the 70% gate"; exit 1; }
+
+# cover-trace gates the trace package at 85%: it is the trust boundary
+# where outside bytes become a workload, parsed by a hand-written
+# binary codec, so every malformed input it misreads reaches consumers
+# that take the workload on trust.
+cover-trace:
+	$(GO) test -coverprofile=cover-trace.out ./internal/trace/
+	@total=$$($(GO) tool cover -func=cover-trace.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
+	echo "internal/trace coverage: $$total%"; \
+	awk -v t="$$total" 'BEGIN { exit !(t + 0 >= 85) }' || { echo "FAIL: internal/trace coverage $$total% below the 85% gate"; exit 1; }
 
 # cover-cluster gates the clustering hot path (the exact algorithms and
 # bucketing): an approximate mode that silently clusters wrong corrupts

@@ -6,8 +6,8 @@
 //	gpusim -trace game.trace -lenient -manifest run.json
 //
 // It prints the total runtime, FPS and aggregate statistics; -frames
-// additionally lists per-frame times. -trace reads gob, JSON or a
-// stream container. -lenient repairs a damaged trace while decoding it
+// additionally lists per-frame times. -trace reads a stream container
+// (what tracegen writes) or JSON. -lenient repairs a damaged trace while decoding it
 // (resyncing past corrupt records, dropping invalid draws and unusable
 // frames) instead of rejecting it, and reports what was skipped.
 //
@@ -86,7 +86,7 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.tracePath, "trace", "", "input workload: gob .trace, JSON or stream container (required)")
+	flag.StringVar(&cfg.tracePath, "trace", "", "input workload: stream container (.trace) or JSON (required)")
 	flag.Float64Var(&cfg.core, "core", 1.0, "core clock in GHz")
 	flag.Float64Var(&cfg.mem, "mem", 1.0, "memory clock in GHz")
 	flag.BoolVar(&cfg.perFrame, "frames", false, "print per-frame times")
@@ -309,7 +309,7 @@ func sweepGrid(ctx context.Context, run *obs.Run, cfg config) error {
 		if rcache == nil || rcache.Dir() == "" {
 			return fmt.Errorf("-shard needs a shared -cache-dir to coordinate with the other shards")
 		}
-		m, st, err := shard.RunShard(ctx, rcache, w, cfgs, spec)
+		m, st, err := shard.RunShard(ctx, rcache, w, w.Fingerprint(), cfgs, spec)
 		if err != nil {
 			return err
 		}

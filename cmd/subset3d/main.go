@@ -5,13 +5,13 @@
 // Usage:
 //
 //	subset3d -trace game.trace [-threshold 0.5] [-interval 4] [-fast] [-lenient]
-//	subset3d -stream game.stream [-lenient] [-timeout 30s]
+//	subset3d -stream game.trace [-lenient] [-timeout 30s]
 //	subset3d -trace game.trace -manifest run.json -log-level info
 //
-// -trace reads a whole workload in any encoding (gob, JSON or a stream
-// container). -fast skips the per-frame clustering evaluation (the
+// -trace reads a whole workload, as a stream container (what tracegen
+// writes) or JSON. -fast skips the per-frame clustering evaluation (the
 // expensive part) and only builds and validates the subset. -stream
-// consumes a frame-stream trace in one bounded-memory pass (no
+// consumes a stream container in one bounded-memory pass (no
 // evaluation or validation sweep — the parent never exists in memory).
 //
 // -lenient ingests damaged captures gracefully: corrupt records are
@@ -82,12 +82,12 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.tracePath, "trace", "", "input workload: gob .trace, JSON or stream container")
+	flag.StringVar(&cfg.tracePath, "trace", "", "input workload: stream container (.trace) or JSON")
 	flag.Float64Var(&cfg.threshold, "threshold", core.DefaultOptions().Subset.Method.Threshold, "leader clustering threshold")
 	flag.StringVar(&cfg.mode, "cluster-mode", "exact", "clustering hot-path strategy: exact or bucketed (bucketed is approximate but sub-linear)")
 	flag.IntVar(&cfg.interval, "interval", core.DefaultOptions().Subset.Phase.IntervalFrames, "phase detection interval (frames)")
 	flag.BoolVar(&cfg.fast, "fast", false, "skip per-frame clustering evaluation")
-	flag.StringVar(&cfg.streamIn, "stream", "", "frame-stream trace to subset in one bounded-memory pass")
+	flag.StringVar(&cfg.streamIn, "stream", "", "stream container (.trace) to subset in one bounded-memory pass")
 	flag.BoolVar(&cfg.lenient, "lenient", false, "skip damaged records/frames and report diagnostics instead of failing")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "abort the run after this long (0 = no limit)")
 	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "max goroutines for clustering evaluation, phase detection and the validation sweep (output is identical at any count)")
@@ -166,7 +166,7 @@ func runStream(ctx context.Context, run *obs.Run, cfg config) error {
 		return err
 	}
 	fmt.Fprintf(cfg.out, "workload %s (streamed, format v%d): %d frames, %d draws\n",
-		r.Shell().Name, r.Version(), res.ParentFrames, res.ParentDraws)
+		r.Shell().Name, trace.StreamVersion, res.ParentFrames, res.ParentDraws)
 	if res.Diagnostics.Any() {
 		fmt.Fprintf(cfg.out, "ingestion degraded: %v\n", res.Diagnostics)
 	} else if cfg.lenient {

@@ -9,8 +9,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/workloads       upload a trace (stream-v2, gob or JSON,
-//	                         sniffed); lenient by default, -strict to
+//	POST /v1/workloads       upload a trace (stream container or
+//	                         JSON, sniffed); lenient by default, -strict to
 //	                         reject damaged uploads instead
 //	GET  /v1/workloads       list registered workloads
 //	GET  /v1/workloads/{fp}  one workload's summary

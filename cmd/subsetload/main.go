@@ -178,7 +178,7 @@ func run(cfg config) error {
 		backoff: cfg.backoff,
 	}
 
-	// Build and upload the synthetic workload (stream-v2 on the wire).
+	// Build and upload the synthetic workload (a stream container on the wire).
 	prof := synth.Bioshock1Profile()
 	prof.Frames = cfg.frames
 	wl, err := synth.Generate(prof, cfg.seed)

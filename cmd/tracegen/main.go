@@ -5,8 +5,10 @@
 //	tracegen -out dir [-seed 42] [-game bioshock1|bioshock2|bioshockinf|suite] [-json]
 //	tracegen -out dir -inject-faults flip:4096,tear:16384:64 [-inject-seed 7]
 //
-// It writes one .trace (gob) file per game — plus .json when -json is
-// set — and prints the corpus summary table. -inject-faults
+// It writes one .trace file per game — the binary stream container,
+// which subset3d and gpusim read with -trace and subset3d also streams
+// with -stream — plus .json when -json is set, and prints the corpus
+// summary table. -inject-faults
 // additionally writes a deliberately damaged .faulty.stream per game
 // (bit flips, zero runs, tears, truncation — see internal/faultinject)
 // for end-to-end ingestion drills against subset3d -lenient.
@@ -36,7 +38,6 @@ type config struct {
 	seed     uint64
 	game     string
 	asJSON   bool
-	asStream bool
 	spec     faultinject.Spec
 	logLevel string
 	manifest string
@@ -52,7 +53,6 @@ func main() {
 	flag.Uint64Var(&cfg.seed, "seed", 42, "generator seed")
 	flag.StringVar(&cfg.game, "game", "suite", "game profile: bioshock1, bioshock2, bioshockinf or suite")
 	flag.BoolVar(&cfg.asJSON, "json", false, "additionally write JSON alongside the binary trace")
-	flag.BoolVar(&cfg.asStream, "stream", false, "additionally write the frame-stream format (.stream)")
 	flag.StringVar(&faults, "inject-faults", "", "additionally write a damaged .faulty.stream using this fault spec (e.g. flip:4096,tear:16384:64,truncate:100000)")
 	flag.Uint64Var(&faultsSeed, "inject-seed", 1, "fault injection seed")
 	flag.StringVar(&cfg.logLevel, "log-level", "off", "structured logging to stderr: debug, info, warn, error or off")
@@ -129,30 +129,22 @@ func generate(ctx context.Context, run *obs.Run, cfg config) error {
 		sp.AddItems(int64(w.NumFrames()))
 		workloads = append(workloads, w)
 		path := filepath.Join(cfg.out, w.Name+".trace")
-		if err := writeTrace(w, path); err != nil {
+		if err := writeFile(path, w.Encode); err != nil {
 			sp.End()
 			return err
 		}
 		wrote(path, "")
 		if cfg.asJSON {
 			jpath := filepath.Join(cfg.out, w.Name+".json")
-			if err := writeJSON(w, jpath); err != nil {
+			if err := writeFile(jpath, w.EncodeJSON); err != nil {
 				sp.End()
 				return err
 			}
 			wrote(jpath, "")
 		}
-		if cfg.asStream {
-			spath := filepath.Join(cfg.out, w.Name+".stream")
-			if _, err := writeStream(w, spath, faultinject.Spec{}); err != nil {
-				sp.End()
-				return err
-			}
-			wrote(spath, "")
-		}
 		if cfg.spec.Active() {
 			fpath := filepath.Join(cfg.out, w.Name+".faulty.stream")
-			stats, err := writeStream(w, fpath, cfg.spec)
+			stats, err := writeFaulty(w, fpath, cfg.spec)
 			if err != nil {
 				sp.End()
 				return err
@@ -178,52 +170,29 @@ func generate(ctx context.Context, run *obs.Run, cfg config) error {
 	return nil
 }
 
-func writeTrace(w *trace.Workload, path string) error {
+// writeFile creates path and fills it with encode's output.
+func writeFile(path string, encode func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := w.Encode(f); err != nil {
+	if err := encode(f); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-func writeJSON(w *trace.Workload, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := w.EncodeJSON(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// writeStream writes the frame-stream encoding, optionally through the
-// fault-injecting corruptor, and reports what damage was done.
-func writeStream(w *trace.Workload, path string, spec faultinject.Spec) (faultinject.Stats, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return faultinject.Stats{}, err
-	}
-	defer f.Close()
-	var sink io.Writer = f
-	var fw *faultinject.Writer
-	if spec.Active() {
-		// The encoder writes through the corruptor — the damage lands
-		// on disk exactly as a faulty storage layer would leave it.
-		fw = faultinject.NewWriter(f, spec)
-		sink = fw
-	}
-	if err := trace.EncodeStream(sink, w); err != nil {
-		return faultinject.Stats{}, err
-	}
+// writeFaulty writes the trace through the fault-injecting corruptor,
+// so the damage lands on disk exactly as a faulty storage layer would
+// leave it, and reports what damage was done.
+func writeFaulty(w *trace.Workload, path string, spec faultinject.Spec) (faultinject.Stats, error) {
 	var stats faultinject.Stats
-	if fw != nil {
+	err := writeFile(path, func(out io.Writer) error {
+		fw := faultinject.NewWriter(out, spec)
+		err := w.Encode(fw)
 		stats = fw.Stats()
-	}
-	return stats, f.Close()
+		return err
+	})
+	return stats, err
 }

@@ -16,7 +16,7 @@ import (
 // Workload persistence: the disk tier doubles as the durable workload
 // store a restarted server rebuilds its registry from. Each workload is
 // written once, fingerprint-keyed, under <dir>/workloads/<fp-hex>.s3dw
-// — the payload is the canonical stream-v2 encoding wrapped in the same
+// — the payload is the workload's stream container wrapped in the same
 // framed container (magic, version, length, SHA-256) every other cache
 // artifact uses, so a torn or tampered file is detected exactly like a
 // torn cache entry and dropped on rescan instead of poisoning the
@@ -32,22 +32,21 @@ func (c *Cache) workloadPath(fp trace.Fingerprint) string {
 	return filepath.Join(c.workloadsDir(), fp.String()+workloadExt)
 }
 
-// StoreWorkload persists w into the workload store, atomically (temp
-// file then rename). Content addressing makes the store idempotent: a
-// fingerprint already on disk is left untouched. Nil caches and
-// memory-only caches are a no-op — persistence is a property of having
-// a disk tier.
-func (c *Cache) StoreWorkload(w *trace.Workload) error {
+// StoreWorkload persists w, whose fingerprint is fp, into the workload
+// store, atomically (temp file then rename). Content addressing makes
+// the store idempotent: a fingerprint already on disk is left
+// untouched. Nil caches and memory-only caches are a no-op —
+// persistence is a property of having a disk tier.
+func (c *Cache) StoreWorkload(w *trace.Workload, fp trace.Fingerprint) error {
 	if c == nil || c.dir == "" {
 		return nil
 	}
-	fp := w.Fingerprint()
 	path := c.workloadPath(fp)
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
 	var buf bytes.Buffer
-	if err := trace.EncodeStream(&buf, w); err != nil {
+	if err := w.Encode(&buf); err != nil {
 		return fmt.Errorf("cache: encoding workload %s: %w", fp, err)
 	}
 	dir := c.workloadsDir()
@@ -74,14 +73,22 @@ func (c *Cache) StoreWorkload(w *trace.Workload) error {
 	return nil
 }
 
+// StoredWorkload is one workload read back from the store, with the
+// fingerprint it was verified against.
+type StoredWorkload struct {
+	W  *trace.Workload
+	FP trace.Fingerprint
+}
+
 // LoadWorkloads rescans the workload store and returns every decodable
 // workload, sorted by fingerprint so a rebuilt registry lists in a
 // deterministic order. Damage degrades to omission, never to failure:
 // a file whose framing, stream payload or fingerprint-vs-filename
 // identity does not check out is counted corrupt, removed and skipped —
-// the same contract diskLookup applies to result entries. Nil and
-// memory-only caches return nothing.
-func (c *Cache) LoadWorkloads(ctx context.Context) ([]*trace.Workload, error) {
+// the same contract diskLookup applies to result entries. A file from
+// a build whose stream version this one does not read is dropped the
+// same way. Nil and memory-only caches return nothing.
+func (c *Cache) LoadWorkloads(ctx context.Context) ([]StoredWorkload, error) {
 	if c == nil || c.dir == "" {
 		return nil, nil
 	}
@@ -91,12 +98,12 @@ func (c *Cache) LoadWorkloads(ctx context.Context) ([]*trace.Workload, error) {
 	}
 	sort.Strings(paths)
 	run := obs.RunFromContext(ctx)
-	var out []*trace.Workload
+	var out []StoredWorkload
 	for _, p := range paths {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		w, err := c.loadWorkloadFile(p)
+		sw, err := c.loadWorkloadFile(p)
 		if err != nil {
 			c.corrupt.Add(1)
 			run.Metrics().Counter("cache.workload_corrupt").Inc()
@@ -107,7 +114,7 @@ func (c *Cache) LoadWorkloads(ctx context.Context) ([]*trace.Workload, error) {
 			}
 			continue
 		}
-		out = append(out, w)
+		out = append(out, sw)
 	}
 	return out, nil
 }
@@ -116,23 +123,23 @@ func (c *Cache) LoadWorkloads(ctx context.Context) ([]*trace.Workload, error) {
 // decode (the bytes were written by this process family, so any damage
 // is damage — leniency would mask it), and the identity check that the
 // content's fingerprint matches the name it was stored under.
-func (c *Cache) loadWorkloadFile(path string) (*trace.Workload, error) {
+func (c *Cache) loadWorkloadFile(path string) (StoredWorkload, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return StoredWorkload{}, err
 	}
 	payload, err := decodeEntry(raw)
 	if err != nil {
-		return nil, err
+		return StoredWorkload{}, err
 	}
 	w, err := trace.Decode(bytes.NewReader(payload))
 	if err != nil {
-		return nil, err
+		return StoredWorkload{}, err
 	}
 	fp := w.Fingerprint()
 	want := strings.TrimSuffix(filepath.Base(path), workloadExt)
 	if fp.String() != want {
-		return nil, fmt.Errorf("cache: workload fingerprint %s does not match store name %s", fp, want)
+		return StoredWorkload{}, fmt.Errorf("cache: workload fingerprint %s does not match store name %s", fp, want)
 	}
-	return w, nil
+	return StoredWorkload{W: w, FP: fp}, nil
 }

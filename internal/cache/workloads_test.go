@@ -17,7 +17,7 @@ func TestWorkloadStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := tracetest.Tiny()
-	if err := c.StoreWorkload(w); err != nil {
+	if err := c.StoreWorkload(w, w.Fingerprint()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.LoadWorkloads(context.Background())
@@ -27,11 +27,11 @@ func TestWorkloadStoreRoundTrip(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("loaded %d workloads, want 1", len(got))
 	}
-	if got[0].Fingerprint() != w.Fingerprint() {
-		t.Fatalf("round trip changed fingerprint: %s -> %s", w.Fingerprint(), got[0].Fingerprint())
+	if got[0].W.Fingerprint() != w.Fingerprint() || got[0].FP != w.Fingerprint() {
+		t.Fatalf("round trip changed fingerprint: %s -> %s (reported %s)", w.Fingerprint(), got[0].W.Fingerprint(), got[0].FP)
 	}
-	if got[0].Name != w.Name || len(got[0].Frames) != len(w.Frames) {
-		t.Fatalf("round trip lost shape: name=%q frames=%d", got[0].Name, len(got[0].Frames))
+	if got[0].W.Name != w.Name || len(got[0].W.Frames) != len(w.Frames) {
+		t.Fatalf("round trip lost shape: name=%q frames=%d", got[0].W.Name, len(got[0].W.Frames))
 	}
 }
 
@@ -44,7 +44,7 @@ func TestWorkloadStoreIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := tracetest.Tiny()
-	if err := c.StoreWorkload(w); err != nil {
+	if err := c.StoreWorkload(w, w.Fingerprint()); err != nil {
 		t.Fatal(err)
 	}
 	path := c.workloadPath(w.Fingerprint())
@@ -52,7 +52,7 @@ func TestWorkloadStoreIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StoreWorkload(w); err != nil {
+	if err := c.StoreWorkload(w, w.Fingerprint()); err != nil {
 		t.Fatal(err)
 	}
 	after, err := os.Stat(path)
@@ -76,7 +76,7 @@ func TestWorkloadStoreIdempotent(t *testing.T) {
 // return nothing on load.
 func TestWorkloadStoreNilAndMemoryOnly(t *testing.T) {
 	var nilCache *Cache
-	if err := nilCache.StoreWorkload(tracetest.Tiny()); err != nil {
+	if err := nilCache.StoreWorkload(tracetest.Tiny(), tracetest.Tiny().Fingerprint()); err != nil {
 		t.Fatalf("nil store: %v", err)
 	}
 	if got, err := nilCache.LoadWorkloads(context.Background()); err != nil || got != nil {
@@ -86,7 +86,7 @@ func TestWorkloadStoreNilAndMemoryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.StoreWorkload(tracetest.Tiny()); err != nil {
+	if err := mem.StoreWorkload(tracetest.Tiny(), tracetest.Tiny().Fingerprint()); err != nil {
 		t.Fatalf("memory-only store: %v", err)
 	}
 	if got, err := mem.LoadWorkloads(context.Background()); err != nil || len(got) != 0 {
@@ -105,7 +105,7 @@ func TestWorkloadStoreDropsCorruptFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := tracetest.Tiny()
-	if err := c.StoreWorkload(w); err != nil {
+	if err := c.StoreWorkload(w, w.Fingerprint()); err != nil {
 		t.Fatal(err)
 	}
 	good := c.workloadPath(w.Fingerprint())
@@ -129,7 +129,7 @@ func TestWorkloadStoreDropsCorruptFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Fingerprint() != w.Fingerprint() {
+	if len(got) != 1 || got[0].FP != w.Fingerprint() {
 		t.Fatalf("scan over damaged store returned %d workloads, want the 1 intact one", len(got))
 	}
 	if n := c.Stats().Corrupt; n != 2 {
@@ -151,7 +151,7 @@ func TestWorkloadStoreCanceledScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.StoreWorkload(tracetest.Tiny()); err != nil {
+	if err := c.StoreWorkload(tracetest.Tiny(), tracetest.Tiny().Fingerprint()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

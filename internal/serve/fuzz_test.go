@@ -39,19 +39,18 @@ func fuzzHandler() http.Handler {
 // — never a panic, never an unclassified 500.
 func FuzzUploadDecode(f *testing.F) {
 	wl := tracetest.Tiny()
-	var stream, gobBuf, jsonBuf bytes.Buffer
+	var stream, jsonBuf bytes.Buffer
 	if err := trace.EncodeStream(&stream, wl); err != nil {
-		f.Fatal(err)
-	}
-	if err := wl.Encode(&gobBuf); err != nil {
 		f.Fatal(err)
 	}
 	if err := wl.EncodeJSON(&jsonBuf); err != nil {
 		f.Fatal(err)
 	}
+	v2 := append([]byte(nil), stream.Bytes()...)
+	v2[len(trace.StreamMagic)] = 2
 
 	f.Add(stream.Bytes())
-	f.Add(gobBuf.Bytes())
+	f.Add(v2) // a container from an older build
 	f.Add(jsonBuf.Bytes())
 	f.Add(stream.Bytes()[:len(stream.Bytes())/2]) // truncated stream
 	f.Add([]byte("3DWS"))                         // bare magic
@@ -59,7 +58,7 @@ func FuzzUploadDecode(f *testing.F) {
 	f.Add([]byte("{"))                            // truncated JSON
 	f.Add([]byte("{}"))                           // empty JSON object
 	f.Add([]byte{})                               // empty body
-	f.Add([]byte("\x00\x01\x02\x03"))             // garbage gob
+	f.Add([]byte("\x00\x01\x02\x03"))             // garbage
 	corrupted := append([]byte(nil), stream.Bytes()...)
 	if len(corrupted) > 30 {
 		corrupted[len(corrupted)-20] ^= 0xFF

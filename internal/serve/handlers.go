@@ -129,7 +129,7 @@ type UploadResponse struct {
 	Fingerprint       string `json:"fingerprint"`
 	Frames            int    `json:"frames"`
 	Draws             int    `json:"draws"`
-	Format            string `json:"format"` // "stream", "gob" or "json"
+	Format            string `json:"format"` // "stream" (the binary container, as Encode writes it) or "json"
 	AlreadyRegistered bool   `json:"already_registered"`
 	// Degraded is true when lenient ingestion repaired damage;
 	// Diagnostics accounts for exactly what was dropped.
@@ -137,8 +137,8 @@ type UploadResponse struct {
 	Diagnostics traceerr.Diagnostics `json:"diagnostics"`
 }
 
-// handleUpload ingests a workload in any of the three encodings
-// trace.ReadWorkload sniffs (stream container, JSON or gob). Lenient
+// handleUpload ingests a workload in either encoding
+// trace.ReadWorkload sniffs (stream container or JSON). Lenient
 // by default — damaged uploads are repaired with the damage accounted
 // in the response — strict when the server was configured Strict. An
 // upload past MaxBodyBytes is 413 too_large in every encoding and mode.
@@ -171,7 +171,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		// store so a restarted server rebuilds its registry from disk
 		// (RestoreWorkloads). Best-effort: a full disk must not fail the
 		// upload the registry already accepted.
-		if serr := s.opt.Cache.StoreWorkload(wl); serr != nil {
+		if serr := s.opt.Cache.StoreWorkload(wl, e.FP); serr != nil {
 			s.run.Logger().Warn("workload persistence failed", "workload", wl.Name,
 				"fingerprint", e.FP.String(), "err", serr)
 		} else if s.opt.Cache.Dir() != "" {

@@ -16,7 +16,7 @@ type workloadEntry struct {
 	FP      trace.Fingerprint
 	Summary trace.Summary
 	Diag    traceerr.Diagnostics
-	Format  string // "stream", "gob" or "json"
+	Format  string // "stream" or "json"
 	Seq     int    // registration order, for stable listings
 }
 

@@ -28,10 +28,11 @@ func (s *Server) RestoreWorkloads(ctx context.Context) (int, error) {
 		return 0, err
 	}
 	restored := 0
-	for _, wl := range wls {
+	for _, sw := range wls {
+		wl := sw.W
 		e := &workloadEntry{
 			W:       wl,
-			FP:      wl.Fingerprint(),
+			FP:      sw.FP,
 			Summary: trace.Summarize(wl),
 			Format:  string(trace.FormatStream),
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/trace"
 	"repro/internal/tracetest"
 )
 
@@ -122,6 +123,57 @@ func TestRestoreWorkloadsSkipsCorrupt(t *testing.T) {
 	s2 := newTestServer(t, Options{Cache: c2})
 	if n, err := s2.RestoreWorkloads(context.Background()); err != nil || n != 1 {
 		t.Fatalf("restore over damaged store: %d, %v; want 1, nil", n, err)
+	}
+}
+
+// TestRestoreWorkloadsDropsOldStreamVersion: a store file persisted by
+// a build that wrote an older stream container version is dropped on
+// restore and counted in cache.workload_corrupt, and startup goes on;
+// a re-upload registers and persists the workload afresh.
+func TestRestoreWorkloadsDropsOldStreamVersion(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := cache.New(cache.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := streamBody(t, tracetest.Tiny())
+	upload(t, newTestServer(t, Options{Cache: c1}).Handler(), body)
+	stores, err := filepath.Glob(filepath.Join(dir, "workloads", "*.s3dw"))
+	if err != nil || len(stores) != 1 {
+		t.Fatalf("workload store: %v, %v", stores, err)
+	}
+	// Rewrite the file as an older build left it: the same framing
+	// around a container whose version byte says v2.
+	raw, err := os.ReadFile(stores[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := cache.DecodeFramed(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[len(trace.StreamMagic)] = 2
+	if err := os.WriteFile(stores[0], cache.EncodeFramed(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := cache.New(cache.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := newTestServer(t, Options{Cache: c2})
+	if n, err := s2.RestoreWorkloads(s2.run.Context(context.Background())); err != nil || n != 0 {
+		t.Fatalf("restore over a v2-era store: %d, %v; want 0, nil", n, err)
+	}
+	if got := s2.run.Metrics().Counter("cache.workload_corrupt").Value(); got != 1 {
+		t.Errorf("cache.workload_corrupt = %d, want 1", got)
+	}
+	if _, err := os.Stat(stores[0]); !os.IsNotExist(err) {
+		t.Errorf("v2-era store file not removed: %v", err)
+	}
+	upload(t, s2.Handler(), body)
+	if _, err := os.Stat(stores[0]); err != nil {
+		t.Errorf("re-upload did not persist the workload: %v", err)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package serve is the subsetting pipeline as a long-running service:
 // the HTTP/JSON layer of subsetd. It accepts trace uploads (lenient
-// stream-v2 ingestion for hostile input), registers workloads in a
+// stream-container ingestion for hostile input), registers workloads in a
 // multi-tenant registry keyed by content fingerprint, and answers
 // subset/sweep/price queries from the content-addressed result cache.
 //

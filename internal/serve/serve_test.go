@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -71,10 +72,7 @@ func upload(t *testing.T, h http.Handler, body []byte) string {
 
 func TestUploadFormats(t *testing.T) {
 	wl := tracetest.Tiny()
-	var gobBuf, jsonBuf bytes.Buffer
-	if err := wl.Encode(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
+	var jsonBuf bytes.Buffer
 	if err := wl.EncodeJSON(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +81,6 @@ func TestUploadFormats(t *testing.T) {
 		body         []byte
 	}{
 		{"stream", "stream", streamBody(t, wl)},
-		{"gob", "gob", gobBuf.Bytes()},
 		{"json", "json", jsonBuf.Bytes()},
 	}
 	for _, tc := range cases {
@@ -113,20 +110,47 @@ func TestUploadFormats(t *testing.T) {
 	}
 }
 
+// TestUploadLegacyEncodings: bytes an older build wrote get a typed
+// 4xx that names the remedy — a v2 container is a version mismatch,
+// gob (no magic, not JSON) is a corrupt record.
+func TestUploadLegacyEncodings(t *testing.T) {
+	v2 := streamBody(t, tracetest.Tiny())
+	v2[len(trace.StreamMagic)] = 2
+	cases := []struct {
+		name   string
+		body   []byte
+		status int
+		class  string
+	}{
+		{"v2 stream", v2, http.StatusUnsupportedMediaType, "version_mismatch"},
+		{"gob", []byte("\x3c\xff\x81\x03\x01\x01\x04wire\x01\xff\x82"), http.StatusBadRequest, "corrupt_record"},
+	}
+	for _, tc := range cases {
+		for _, strict := range []bool{false, true} {
+			s := newTestServer(t, Options{Strict: strict})
+			rec := do(s.Handler(), "POST", "/v1/workloads", tc.body)
+			var eb errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+				t.Fatalf("%s: status %d, body %q: %v", tc.name, rec.Code, rec.Body, err)
+			}
+			if rec.Code != tc.status || eb.Class != tc.class || !strings.Contains(eb.Error, "tracegen") {
+				t.Errorf("%s strict=%v: status %d class %q (%s), want %d %s naming tracegen",
+					tc.name, strict, rec.Code, eb.Class, eb.Error, tc.status, tc.class)
+			}
+		}
+	}
+}
+
 // TestUploadTooLarge: an upload past MaxBodyBytes is 413 too_large in
 // every encoding and ingestion mode — the cap is one check at the
 // trace boundary, not a per-decoder outcome.
 func TestUploadTooLarge(t *testing.T) {
 	wl := tracetest.Tiny()
-	var gobBuf, jsonBuf bytes.Buffer
-	if err := wl.Encode(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
+	var jsonBuf bytes.Buffer
 	if err := wl.EncodeJSON(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
 	bodies := map[string][]byte{
-		"gob":    gobBuf.Bytes(),
 		"json":   jsonBuf.Bytes(),
 		"stream": streamBody(t, wl),
 	}

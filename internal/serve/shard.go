@@ -86,7 +86,7 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 	flightKey := "shardsweep:" + kb.Sum().String()
 	s.runQuery(w, r, flightKey, func(ctx context.Context) (any, error) {
 		cfgs := sweep.Grid(gpu.BaseConfig(), req.CoreClocks, req.MemClocks)
-		m, st, err := shard.RunShard(ctx, s.opt.Cache, e.W, cfgs, spec)
+		m, st, err := shard.RunShard(ctx, s.opt.Cache, e.W, e.FP, cfgs, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -69,7 +69,7 @@ func sweepShards(t testing.TB, w *trace.Workload, cfgs []gpu.Config, n int, cach
 				errs[i] = err
 				return
 			}
-			manifests[i], stats[i], errs[i] = RunShard(context.Background(), c, w, cfgs, Spec{Index: i, Count: n})
+			manifests[i], stats[i], errs[i] = RunShard(context.Background(), c, w, w.Fingerprint(), cfgs, Spec{Index: i, Count: n})
 			cstats[i] = c.Stats()
 		}(i)
 	}
@@ -180,7 +180,7 @@ func TestCrashedWorkerResumedFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m0, st, err := RunShard(ctx, c2, w, cfgs, spec)
+	m0, st, err := RunShard(ctx, c2, w, w.Fingerprint(), cfgs, spec)
 	if err != nil {
 		t.Fatalf("rerun of the crashed shard: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestCrashedWorkerResumedFromCache(t *testing.T) {
 	}
 
 	// The other shard, then the byte-identity check.
-	m1, _, err := RunShard(context.Background(), c2, w, cfgs, Spec{Index: 1, Count: 2})
+	m1, _, err := RunShard(context.Background(), c2, w, w.Fingerprint(), cfgs, Spec{Index: 1, Count: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestOverlappingShardsAgree(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			manifests[i], _, errs[i] = RunShard(context.Background(), c, w, cfgs, full)
+			manifests[i], _, errs[i] = RunShard(context.Background(), c, w, w.Fingerprint(), cfgs, full)
 		}(i)
 	}
 	wg.Wait()
@@ -275,7 +275,7 @@ func TestWorkerWithoutCache(t *testing.T) {
 	cfgs := testGrid(2, 2)
 	var manifests []*Manifest
 	for i := 0; i < 2; i++ {
-		m, st, err := RunShard(context.Background(), nil, w, cfgs, Spec{Index: i, Count: 2})
+		m, st, err := RunShard(context.Background(), nil, w, w.Fingerprint(), cfgs, Spec{Index: i, Count: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestSequentialWarmsShardsAndViceVersa(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Flush()
-	m, st, err := RunShard(context.Background(), c, w, cfgs, Spec{Index: 0, Count: 1})
+	m, st, err := RunShard(context.Background(), c, w, w.Fingerprint(), cfgs, Spec{Index: 0, Count: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,11 @@ type WorkerStats struct {
 // cache state, or racing it against an overlapping shard, yields
 // byte-identical manifests.
 //
-// ctx must not carry a cache binding (cache.WithWorkload): the task
-// key is resolved here, and pricing underneath runs uncached.
-func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu.Config, spec Spec) (*Manifest, WorkerStats, error) {
+// fp is w.Fingerprint(), which the caller has already paid for: a
+// server computes it once at upload and a CLI once per run, not once
+// per shard. ctx must not carry a cache binding (cache.WithWorkload):
+// the task key is resolved here, and pricing underneath runs uncached.
+func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, fp trace.Fingerprint, cfgs []gpu.Config, spec Spec) (*Manifest, WorkerStats, error) {
 	var stats WorkerStats
 	if err := spec.Validate(); err != nil {
 		return nil, stats, err
@@ -44,7 +46,6 @@ func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu
 	ctx, sp := obs.StartSpan(ctx, "shard-worker")
 	defer sp.End()
 
-	fp := w.Fingerprint()
 	tasks, grid, err := Plan(fp, cfgs)
 	if err != nil {
 		return nil, stats, err

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"testing"
 
+	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/tracetest"
 )
@@ -75,5 +76,34 @@ func TestFingerprintString(t *testing.T) {
 	s := tracetest.Tiny().Fingerprint().String()
 	if len(s) != 64 {
 		t.Fatalf("hex fingerprint length %d, want 64", len(s))
+	}
+}
+
+// TestFingerprintPinnedDigests pins literal digests: cache keys, shard
+// manifests and persisted registries are addressed by them, so any
+// change to the bytes fed to SHA-256 must show up here (and bump
+// fingerprintVersion).
+func TestFingerprintPinnedDigests(t *testing.T) {
+	cases := []struct {
+		name string
+		w    func() (*trace.Workload, error)
+		want string
+	}{
+		{"tiny", func() (*trace.Workload, error) { return tracetest.Tiny(), nil },
+			"12af0259583e44c2a5d2e042cd6427e8db215bdef97d08ce4d6569d2db66e333"},
+		{"tiny-sparse-ids", func() (*trace.Workload, error) { return tracetest.TinySparseIDs(), nil },
+			"aad4247ccd4b119bea7fae820d0295c2501c3dc8d7ed21447881b4dd6851bbff"},
+		{"bioshock1-seed42", func() (*trace.Workload, error) {
+			return tracetest.CachedWorkload(synth.Bioshock1Profile(), 42)
+		}, "6934ed18ee61c435786b339dcdfd2ae718c69e60b9bcd39a2f7730c1cf0b2606"},
+	}
+	for _, tc := range cases {
+		w, err := tc.w()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Fingerprint().String(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -25,7 +25,7 @@ func FuzzDecode(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte("not a gob stream at all"))
+	f.Add([]byte("not a stream container at all"))
 	f.Add(valid[:len(valid)/2])
 	mutated := append([]byte{}, valid...)
 	for i := 10; i < len(mutated); i += 97 {
@@ -68,7 +68,7 @@ func FuzzStreamDecode(f *testing.F) {
 	})
 }
 
-// FuzzStreamV2Resync feeds mutated v2 stream bytes to the resyncing
+// FuzzStreamV2Resync feeds mutated stream container bytes to the resyncing
 // lenient reader: it must never panic, never loop forever, and every
 // frame it delivers must still pass full validation against the shell.
 func FuzzStreamV2Resync(f *testing.F) {
@@ -81,7 +81,7 @@ func FuzzStreamV2Resync(f *testing.F) {
 	f.Add(valid, 20, byte(0xff))             // damage inside the header record
 	f.Add(valid, len(valid)/2, byte(0x01))   // damage mid-stream
 	f.Add(valid[:len(valid)-30], 0, byte(0)) // truncated tail
-	f.Add([]byte("3DWS\x02junkjunkjunk"), 3, byte(7))
+	f.Add([]byte("3DWS\x03junkjunkjunk"), 3, byte(7))
 	doubled := append(append([]byte{}, valid...), valid...) // concatenated captures
 	f.Add(doubled, 0, byte(0))
 
@@ -98,9 +98,9 @@ func FuzzStreamV2Resync(f *testing.F) {
 		for {
 			fr, err := r.NextFrame()
 			if err != nil {
-				// Lenient v2 reading only ever ends in io.EOF.
-				if r.Version() == 2 && err != io.EOF {
-					t.Fatalf("lenient v2 reader returned %v", err)
+				// Lenient reading only ever ends in io.EOF.
+				if err != io.EOF {
+					t.Fatalf("lenient reader returned %v", err)
 				}
 				return
 			}
@@ -127,17 +127,15 @@ func abs(v int) int {
 // a panic or an error.
 func FuzzDecodeThenPrice(f *testing.F) {
 	for _, w := range []*trace.Workload{tracetest.Tiny(), tracetest.TinySparseIDs()} {
-		var gobBuf, jsonBuf, streamBuf bytes.Buffer
-		if err := w.Encode(&gobBuf); err != nil {
-			f.Fatal(err)
-		}
+		var jsonBuf, streamBuf bytes.Buffer
 		if err := w.EncodeJSON(&jsonBuf); err != nil {
 			f.Fatal(err)
 		}
-		if err := trace.EncodeStream(&streamBuf, w); err != nil {
+		if err := w.Encode(&streamBuf); err != nil {
 			f.Fatal(err)
 		}
-		for _, valid := range [][]byte{gobBuf.Bytes(), jsonBuf.Bytes(), streamBuf.Bytes()} {
+		// Legacy gob bytes must fail classified, mangled or not.
+		for _, valid := range [][]byte{legacyGob(f, w), jsonBuf.Bytes(), streamBuf.Bytes()} {
 			f.Add(valid)
 			f.Add(valid[:len(valid)/2])
 			flipped := append([]byte(nil), valid...)

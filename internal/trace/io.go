@@ -2,15 +2,12 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 
-	"repro/internal/shader"
 	"repro/internal/traceerr"
 )
 
@@ -25,13 +22,12 @@ type Format string
 
 // The encodings, told apart by their first bytes.
 const (
-	FormatStream Format = "stream" // stream container: opens with StreamMagic
+	FormatStream Format = "stream" // Encode/EncodeStream output: opens with StreamMagic
 	FormatJSON   Format = "json"   // EncodeJSON output: opens with '{'
-	FormatGob    Format = "gob"    // Encode output: anything else
 )
 
 // cappedReader fails with traceerr.ErrTooLarge once the input runs
-// past max bytes, and remembers that it did: gob, json and the stream
+// past max bytes, and remembers that it did: json and the stream
 // scanner may rewrap or swallow the error, so callers check the flag
 // rather than the chain. Input of exactly max bytes is within the cap.
 type cappedReader struct {
@@ -83,75 +79,32 @@ type classed struct{ class, err error }
 func (c classed) Error() string   { return c.err.Error() }
 func (c classed) Unwrap() []error { return []error{c.class, c.err} }
 
-// wire is the serialization form of Workload. The shader registry has
-// unexported bookkeeping, so programs travel as a flat slice and the
-// registry is rebuilt on decode.
+// wire is the JSON form of Workload: the shader registry has
+// unexported bookkeeping, so it travels as the header's flat program
+// slice and is rebuilt on decode.
 type wire struct {
-	Name          string
-	Frames        []Frame
-	Shaders       []shader.Program
-	Textures      []Texture
-	RenderTargets []RenderTarget
+	Header
+	Frames []Frame
 }
 
-func (w *Workload) toWire() wire {
-	progs := w.Shaders.Programs()
-	flat := make([]shader.Program, len(progs))
-	for i, p := range progs {
-		flat[i] = *p
-	}
-	return wire{
-		Name:          w.Name,
-		Frames:        w.Frames,
-		Shaders:       flat,
-		Textures:      w.Textures,
-		RenderTargets: w.RenderTargets,
-	}
-}
-
-// restoreWire rebuilds the in-memory workload without judging its
-// content: the strict path validates afterwards, the lenient path
-// sanitizes instead.
-func restoreWire(ww wire) (*Workload, error) {
-	progs := make([]*shader.Program, len(ww.Shaders))
-	for i := range ww.Shaders {
-		progs[i] = &ww.Shaders[i]
-	}
-	reg, err := shader.RestoreRegistry(progs)
-	if err != nil {
-		return nil, fmt.Errorf("trace: restoring shaders: %w", classed{traceerr.ErrInvalidFrame, err})
-	}
-	return &Workload{
-		Name:          ww.Name,
-		Frames:        ww.Frames,
-		Shaders:       reg,
-		Textures:      ww.Textures,
-		RenderTargets: ww.RenderTargets,
-	}, nil
-}
-
-// Encode writes the workload in the library's binary (gob) format.
-func (w *Workload) Encode(out io.Writer) error {
-	if err := gob.NewEncoder(out).Encode(w.toWire()); err != nil {
-		return fmt.Errorf("trace: encoding workload %q: %w", w.Name, err)
-	}
-	return nil
-}
+// Encode writes the workload as a stream container, the library's
+// binary format; it is EncodeStream.
+func (w *Workload) Encode(out io.Writer) error { return EncodeStream(out, w) }
 
 // EncodeJSON writes the workload as indented JSON, for inspection and
 // interchange with non-Go tooling.
 func (w *Workload) EncodeJSON(out io.Writer) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(w.toWire()); err != nil {
+	if err := enc.Encode(wire{HeaderOf(w), w.Frames}); err != nil {
 		return fmt.Errorf("trace: JSON-encoding workload %q: %w", w.Name, err)
 	}
 	return nil
 }
 
 // Decode is ReadWorkload in strict mode under DefaultMaxDecodeBytes:
-// it reads a workload in any of the three encodings and rejects it
-// unless it is valid as a whole.
+// it reads a workload in either encoding and rejects it unless it is
+// valid as a whole.
 func Decode(in io.Reader) (*Workload, error) {
 	w, _, _, err := ReadWorkload(in, ReaderOptions{})
 	return w, err
@@ -159,8 +112,9 @@ func Decode(in io.Reader) (*Workload, error) {
 
 // ReadWorkload is the trust boundary for whole workloads: the one
 // place outside bytes become a *Workload. The encoding is sniffed from
-// the first bytes: StreamMagic opens a stream container, '{' opens
-// JSON and anything else is gob.
+// the first byte: '{' opens JSON, anything else must be a stream
+// container. Input that is neither — a gob trace from an older build,
+// say — fails with traceerr.ErrCorruptRecord.
 //
 // Input past opt.MaxBytes (DefaultMaxDecodeBytes when zero) fails with
 // traceerr.ErrTooLarge. Strict mode rejects the first invalid frame or
@@ -173,61 +127,52 @@ func ReadWorkload(in io.Reader, opt ReaderOptions) (*Workload, Format, traceerr.
 		opt.MaxBytes = DefaultMaxDecodeBytes
 	}
 	br := bufio.NewReader(in)
-	// A short or failed peek still returns what it read: no bytes is
-	// empty input, otherwise the decoder chosen from them meets the
-	// same end or error and reports it in context.
-	head, _ := br.Peek(len(streamMagic))
-	switch {
-	case len(head) == 0:
-		return nil, "", traceerr.Diagnostics{}, fmt.Errorf("trace: empty input: %w", traceerr.ErrTruncated)
-	case bytes.HasPrefix(head, streamMagic) || bytes.HasPrefix(streamMagic, head):
-		w, diag, err := readStreamWorkload(br, opt)
-		return w, FormatStream, diag, err
-	case head[0] == '{':
-		w, diag, err := readWire(br, opt, "JSON-decoding", func(r io.Reader, ww *wire) error {
-			return json.NewDecoder(r).Decode(ww)
-		})
+	// A failed peek leaves the stream reader to meet the same end or
+	// error and report it in context.
+	if head, _ := br.Peek(1); len(head) == 1 && head[0] == '{' {
+		w, diag, err := readJSON(br, opt)
 		return w, FormatJSON, diag, err
-	default:
-		w, diag, err := readWire(br, opt, "decoding", func(r io.Reader, ww *wire) error {
-			return gob.NewDecoder(r).Decode(ww)
-		})
-		return w, FormatGob, diag, err
 	}
+	w, diag, err := readStreamWorkload(br, opt)
+	return w, FormatStream, diag, err
 }
 
-// readWire decodes one whole-workload value (gob or JSON), then
-// validates or, leniently, sanitizes it.
-func readWire(in io.Reader, opt ReaderOptions, verb string, decode func(io.Reader, *wire) error) (*Workload, traceerr.Diagnostics, error) {
+// readJSON decodes a whole JSON workload and admits its frames as a
+// stream reader admits a stream's.
+func readJSON(in io.Reader, opt ReaderOptions) (*Workload, traceerr.Diagnostics, error) {
 	var diag traceerr.Diagnostics
 	capped := newCappedReader(in, opt.MaxBytes)
 	var ww wire
-	if err := decode(capped, &ww); err != nil {
+	if err := json.NewDecoder(capped).Decode(&ww); err != nil {
 		if !capped.exceeded {
-			err = classed{classifyDecodeErr(err), err}
+			class := traceerr.ErrCorruptRecord
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				class = traceerr.ErrTruncated
+			}
+			err = classed{class, err}
 		}
-		return nil, diag, fmt.Errorf("trace: %s workload: %w", verb, capped.capErr(err))
+		return nil, diag, fmt.Errorf("trace: JSON-decoding workload: %w", capped.capErr(err))
 	}
-	w, err := restoreWire(ww)
+	shell, err := ww.Header.Shell()
 	if err != nil {
-		return nil, diag, err
-	}
-	if opt.Lenient {
-		diag, err = w.Sanitize()
-		if err != nil {
-			return nil, diag, err
-		}
-		return w, diag, nil
-	}
-	if err := w.Validate(); err != nil {
 		return nil, diag, fmt.Errorf("trace: decoded workload invalid: %w", classed{traceerr.ErrInvalidFrame, err})
 	}
-	return w, diag, nil
+	c, frames := shell.newDrawChecker(), ww.Frames[:0]
+	for fi, f := range ww.Frames {
+		ok, err := c.admit(&f, opt.Lenient, &diag)
+		if err != nil {
+			return nil, diag, fmt.Errorf("trace: decoded workload invalid: frame %d %w", fi, classed{traceerr.ErrInvalidFrame, err})
+		}
+		if ok {
+			frames = append(frames, f)
+		}
+	}
+	return assemble(shell, frames, diag)
 }
 
 // readStreamWorkload assembles a whole workload from a stream
-// container. The reader validates (or sanitizes) the header and every
-// frame on the way; a stream that yields no usable frame is invalid.
+// container, whose reader validates (or sanitizes) the header and
+// every frame on the way.
 func readStreamWorkload(in io.Reader, opt ReaderOptions) (*Workload, traceerr.Diagnostics, error) {
 	sr, err := NewStreamReader(in, opt)
 	if err != nil {
@@ -237,17 +182,22 @@ func readStreamWorkload(in io.Reader, opt ReaderOptions) (*Workload, traceerr.Di
 	for {
 		f, err := sr.NextFrame()
 		if errors.Is(err, io.EOF) {
-			break
+			return assemble(sr.Shell(), frames, sr.Diagnostics())
 		}
 		if err != nil {
 			return nil, sr.Diagnostics(), err
 		}
 		frames = append(frames, f)
 	}
+}
+
+// assemble completes a read: the admitted frames on the shell, or
+// traceerr.ErrInvalidFrame when none survived.
+func assemble(shell *Workload, frames []Frame, diag traceerr.Diagnostics) (*Workload, traceerr.Diagnostics, error) {
 	if len(frames) == 0 {
-		return nil, sr.Diagnostics(), fmt.Errorf("trace: stream yields no usable frames: %w", traceerr.ErrInvalidFrame)
+		return nil, diag, fmt.Errorf("trace: workload %q has no usable frames: %w", shell.Name, traceerr.ErrInvalidFrame)
 	}
-	w := *sr.Shell()
+	w := *shell
 	w.Frames = frames
-	return &w, sr.Diagnostics(), nil
+	return &w, diag, nil
 }

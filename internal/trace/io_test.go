@@ -7,22 +7,37 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/traceerr"
 	"repro/internal/tracetest"
 )
 
-func TestGobRoundTrip(t *testing.T) {
-	w := tracetest.Tiny()
-	var buf bytes.Buffer
-	if err := w.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := trace.Decode(&buf)
+// TestEncodeRoundTrip: Encode then Decode reproduces every frame and
+// the fingerprint exactly, on the hand-built fixtures and on a full
+// synthetic capture.
+func TestEncodeRoundTrip(t *testing.T) {
+	bio, err := tracetest.CachedWorkload(synth.Bioshock1Profile(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertWorkloadsEqual(t, w, got)
+	for _, w := range []*trace.Workload{tracetest.Tiny(), tracetest.TinySparseIDs(), bio} {
+		var buf bytes.Buffer
+		if err := w.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := trace.Decode(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if got.Fingerprint() != w.Fingerprint() {
+			t.Errorf("%s: fingerprint changed in the round trip", w.Name)
+		}
+		if !reflect.DeepEqual(got.Frames, w.Frames) {
+			t.Errorf("%s: frames changed in the round trip", w.Name)
+		}
+		assertWorkloadsEqual(t, w, got)
+	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -88,8 +103,8 @@ func assertWorkloadsEqual(t *testing.T, want, got *trace.Workload) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := trace.Decode(strings.NewReader("not a gob stream")); err == nil {
-		t.Error("garbage gob accepted")
+	if _, err := trace.Decode(strings.NewReader("not a stream container")); err == nil {
+		t.Error("garbage accepted")
 	}
 	if _, err := trace.Decode(strings.NewReader("{")); err == nil {
 		t.Error("garbage JSON accepted")
@@ -99,18 +114,14 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 // encodings returns w in every encoding ReadWorkload sniffs.
 func encodings(t *testing.T, w *trace.Workload) map[trace.Format][]byte {
 	t.Helper()
-	var gobBuf, jsonBuf, streamBuf bytes.Buffer
-	if err := w.Encode(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
+	var jsonBuf, streamBuf bytes.Buffer
 	if err := w.EncodeJSON(&jsonBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.EncodeStream(&streamBuf, w); err != nil {
+	if err := w.Encode(&streamBuf); err != nil {
 		t.Fatal(err)
 	}
 	return map[trace.Format][]byte{
-		trace.FormatGob:    gobBuf.Bytes(),
 		trace.FormatJSON:   jsonBuf.Bytes(),
 		trace.FormatStream: streamBuf.Bytes(),
 	}
@@ -148,8 +159,9 @@ func TestReadWorkloadEnforcesSizeCap(t *testing.T) {
 				t.Errorf("%s lenient=%v at exact cap: %v", format, lenient, err)
 			}
 			// A truncated-but-small input must NOT be misreported as
-			// too large.
-			err := read(data[:len(data)/2], int64(len(data)))
+			// too large. The cut falls inside the first record, so
+			// lenient reading has nothing to salvage either.
+			err := read(data[:20], int64(len(data)))
 			if err == nil || errors.Is(err, traceerr.ErrTooLarge) {
 				t.Errorf("%s lenient=%v truncated: err = %v, want a failure that is not ErrTooLarge", format, lenient, err)
 			}
@@ -170,8 +182,8 @@ func TestReadWorkloadClassifiesEveryFailure(t *testing.T) {
 		class error
 	}{
 		{"empty", nil, traceerr.ErrTruncated},
-		{"garbage gob", []byte("\x05\xff\xff\xff\xff\xff"), traceerr.ErrCorruptRecord},
-		{"truncated gob", enc[trace.FormatGob][:len(enc[trace.FormatGob])/2], traceerr.ErrTruncated},
+		{"garbage", []byte("\x05\xff\xff\xff\xff\xff"), traceerr.ErrCorruptRecord},
+		{"truncated stream", enc[trace.FormatStream][:20], traceerr.ErrTruncated},
 		{"truncated json", enc[trace.FormatJSON][:len(enc[trace.FormatJSON])/2], traceerr.ErrTruncated},
 		{"bare magic", []byte(trace.StreamMagic), traceerr.ErrTruncated},
 		{"future version", []byte(trace.StreamMagic + "\x07"), traceerr.ErrVersionMismatch},
@@ -216,7 +228,7 @@ func TestReadWorkloadRejectsInvalidDraw(t *testing.T) {
 
 func TestDecodeValidatesContent(t *testing.T) {
 	// Encode a workload, then break it *before* encoding so the decoder
-	// sees structurally valid gob that fails semantic validation.
+	// sees a well-formed container that fails semantic validation.
 	w := tracetest.Tiny()
 	w.Frames[0].Draws[0].CoverageFrac = 7 // invalid
 	var buf bytes.Buffer

@@ -161,12 +161,12 @@ type Frame struct {
 //
 // A Workload is valid by construction: every constructor checks it
 // once, where the data enters — ReadWorkload and Decode, a
-// StreamReader's Header.Shell plus its per-frame checks, Sanitize,
+// StreamReader's Header.Shell plus its per-frame checks,
 // synth.Generate, tracetest and apicmd replay. Consumers (extractors,
 // simulators, the pipeline) take it on trust and do not re-check; a
 // dangling reference reaching them panics as a bug. Code that edits a
-// workload in place re-establishes validity with Validate or Sanitize
-// before handing it on.
+// workload in place re-establishes validity with Validate (or drops
+// invalid draws with SanitizeFrame) before handing it on.
 type Workload struct {
 	Name          string
 	Frames        []Frame

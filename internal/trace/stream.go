@@ -1,8 +1,9 @@
 package trace
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 
 	"repro/internal/shader"
@@ -57,42 +58,47 @@ func (h Header) Shell() (*Workload, error) {
 	}, nil
 }
 
-// StreamEncoder writes a workload as header + one record per frame, so
-// arbitrarily long captures encode in bounded memory. New streams are
-// written in format v2 (checksummed, resyncable); NewStreamEncoderV1
-// keeps the legacy raw-gob writer for compatibility tooling.
+// StreamEncoder writes a workload as a stream container: the header
+// record, then one record per frame, so arbitrarily long captures
+// encode in bounded memory.
 type StreamEncoder struct {
-	writeFrame func(*Frame) error
-	frames     int
+	w      io.Writer
+	rec    []byte // reused record buffer: header bytes, then payload
+	frames int
 }
 
-// NewStreamEncoder writes the v2 container header and stream header
+// NewStreamEncoder writes the container preamble and the stream header
 // record immediately.
 func NewStreamEncoder(out io.Writer, h Header) (*StreamEncoder, error) {
-	w, err := newStreamWriterV2(out, h)
-	if err != nil {
-		return nil, err
+	if _, err := out.Write(append([]byte(StreamMagic), StreamVersion)); err != nil {
+		return nil, fmt.Errorf("trace: writing stream magic: %w", err)
 	}
-	return &StreamEncoder{writeFrame: w.writeFrame}, nil
-}
-
-// NewStreamEncoderV1 writes the legacy v1 format: a bare gob stream of
-// header then frames, with no magic, framing or checksums. It exists so
-// compatibility with already-captured fleets can be tested; new
-// captures should use NewStreamEncoder.
-func NewStreamEncoderV1(out io.Writer, h Header) (*StreamEncoder, error) {
-	enc := gob.NewEncoder(out)
-	if err := enc.Encode(h); err != nil {
+	e := &StreamEncoder{w: out, rec: make([]byte, recHeaderLen, 64<<10)}
+	if err := e.writeRecord(recKindHeader, appendHeader(e.rec[:recHeaderLen], &h)); err != nil {
 		return nil, fmt.Errorf("trace: encoding stream header: %w", err)
 	}
-	return &StreamEncoder{writeFrame: func(f *Frame) error {
-		return enc.Encode(f)
-	}}, nil
+	return e, nil
+}
+
+// writeRecord frames rec's payload, which follows recHeaderLen bytes
+// reserved for the record header, and writes the record in one call.
+func (e *StreamEncoder) writeRecord(kind byte, rec []byte) error {
+	e.rec = rec
+	payload := rec[recHeaderLen:]
+	if len(payload) > DefaultMaxRecordBytes {
+		return fmt.Errorf("record payload of %d bytes exceeds the %d-byte cap", len(payload), DefaultMaxRecordBytes)
+	}
+	copy(rec, recSync)
+	rec[4] = kind
+	binary.LittleEndian.PutUint32(rec[5:9], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[9:13], crc32.ChecksumIEEE(payload))
+	_, err := e.w.Write(rec)
+	return err
 }
 
 // WriteFrame appends one frame record.
 func (e *StreamEncoder) WriteFrame(f *Frame) error {
-	if err := e.writeFrame(f); err != nil {
+	if err := e.writeRecord(recKindFrame, appendFrame(e.rec[:recHeaderLen], f)); err != nil {
 		return fmt.Errorf("trace: encoding frame %d: %w", e.frames, err)
 	}
 	e.frames++

@@ -1,33 +1,23 @@
-// Stream format v2 — the fault-tolerant frame-stream container.
+// Stream container v3: the fault-tolerant frame-stream format and the
+// one binary encoding of a workload (Workload.Encode writes it too).
 //
-// The v1 format (NewStreamEncoderV1) is a bare gob stream: no magic,
-// no framing, no checksums. One flipped byte anywhere poisons the gob
-// decoder state and aborts the rest of the capture. At fleet scale —
-// hundreds of captures streamed off disks and networks — truncation
-// and bit rot are routine, so v2 makes every record independently
-// verifiable and skippable:
-//
-//	container := magic "3DWS" | version byte (2) | record*
+//	container := magic "3DWS" | version byte (3) | record*
 //	record    := sync [4]byte | kind byte | payloadLen uint32le |
 //	             crc32le(payload) | payload
 //
 // kind 1 carries the stream Header, kind 2 one Frame; each payload is
-// a self-contained gob encoding (type descriptors re-sent per record —
-// a few hundred bytes of overhead that buys the ability to decode any
-// record in isolation). A reader that finds a bad sync marker, an
-// implausible length, a checksum mismatch or a truncated tail can scan
-// forward for the next sync marker and re-lock onto the record stream,
-// accounting for every byte it had to discard.
-//
-// StreamReader reads both versions: the magic is sniffed and absent on
-// v1 streams, which fall back to the legacy gob path (fail-fast; gob's
-// stateful wire format cannot be resynced).
+// a self-contained binary record (see codec.go), so any record decodes
+// in isolation. At fleet scale truncation and bit rot are routine: a
+// reader that finds a bad sync marker, an implausible length, a
+// checksum mismatch or a truncated tail can scan forward for the next
+// sync marker and re-lock onto the record stream, accounting for every
+// byte it had to discard. Older encodings (gob, v1 and v2 streams) are
+// rejected, classified, with the advice to regenerate the trace.
 package trace
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -37,10 +27,10 @@ import (
 )
 
 // StreamVersion is the container version written by NewStreamEncoder.
-const StreamVersion = 2
+const StreamVersion = 3
 
 // StreamMagic is the byte string that opens a stream container; it is
-// how ReadWorkload tells a stream from gob or JSON.
+// how ReadWorkload tells a stream from JSON.
 const StreamMagic = "3DWS"
 
 // DefaultMaxRecordBytes caps a single record's payload. Lengths above
@@ -58,67 +48,38 @@ const (
 	recKindFrame  byte = 2
 )
 
-// streamWriterV2 frames gob payloads into checksummed records.
-type streamWriterV2 struct {
-	w       io.Writer
-	scratch bytes.Buffer
-}
-
-func newStreamWriterV2(out io.Writer, h Header) (*streamWriterV2, error) {
-	sw := &streamWriterV2{w: out}
-	magic := make([]byte, len(streamMagic)+1)
-	copy(magic, streamMagic)
-	magic[len(streamMagic)] = StreamVersion
-	if _, err := out.Write(magic); err != nil {
-		return nil, fmt.Errorf("trace: writing stream magic: %w", err)
-	}
-	if err := sw.writeRecord(recKindHeader, h); err != nil {
-		return nil, fmt.Errorf("trace: encoding stream header: %w", err)
-	}
-	return sw, nil
-}
-
-func (sw *streamWriterV2) writeRecord(kind byte, v any) error {
-	sw.scratch.Reset()
-	if err := gob.NewEncoder(&sw.scratch).Encode(v); err != nil {
-		return err
-	}
-	payload := sw.scratch.Bytes()
-	var hdr [recHeaderLen]byte
-	copy(hdr[:4], recSync)
-	hdr[4] = kind
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload))
-	if _, err := sw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := sw.w.Write(payload)
-	return err
-}
-
-func (sw *streamWriterV2) writeFrame(f *Frame) error {
-	return sw.writeRecord(recKindFrame, f)
-}
+// regenerate is the remedy every rejected legacy input names.
+const regenerate = "regenerate the trace with tracegen"
 
 // recordScanner maintains a sliding window over the input and extracts
 // records from it. In lenient mode a malformed region is scanned
 // byte-by-byte for the next sync marker; in strict mode the first
-// deviation is returned as a typed error.
+// deviation is returned as a typed error. The window reuses one
+// backing array, so a payload next returns is only valid until the
+// following call.
 type recordScanner struct {
-	r     io.Reader
-	buf   []byte
-	off   int64 // absolute offset of buf[0]
-	rerr  error // sticky error from the underlying reader
-	chunk []byte
+	r    io.Reader
+	win  []byte // backing array; buf is a window into it
+	buf  []byte // bytes read but not yet consumed
+	off  int64  // absolute offset of buf[0]
+	rerr error  // sticky error from the underlying reader
+	recs int    // records delivered; the next one's index
 }
 
+const scanChunk = 64 << 10
+
 func (s *recordScanner) fill(n int) {
-	if s.chunk == nil {
-		s.chunk = make([]byte, 64<<10)
-	}
 	for len(s.buf) < n && s.rerr == nil {
-		m, err := s.r.Read(s.chunk)
-		s.buf = append(s.buf, s.chunk[:m]...)
+		if cap(s.buf)-len(s.buf) < scanChunk {
+			// Slide the window to the front of the array, growing the
+			// array when n bytes plus a read would not fit.
+			if need := max(n, len(s.buf)) + scanChunk; cap(s.win) < need {
+				s.win = make([]byte, max(need, 2*cap(s.win)))
+			}
+			s.buf = s.win[:copy(s.win, s.buf)]
+		}
+		m, err := s.r.Read(s.buf[len(s.buf):cap(s.buf)])
+		s.buf = s.buf[:len(s.buf)+m]
 		if err != nil {
 			s.rerr = err
 		}
@@ -144,84 +105,60 @@ func (s *recordScanner) next(lenient bool, diag *traceerr.Diagnostics) (byte, []
 		diag.BytesDiscarded += int64(n)
 		s.discard(n)
 	}
+	// reject classifies the damage at the current offset: strict mode
+	// fails with it, lenient mode skips n bytes and scans on.
+	reject := func(class error, n int, cause error) error {
+		if !lenient {
+			return recordErr(class, s.recs, s.off, cause)
+		}
+		skip(n)
+		return nil
+	}
 	for {
 		s.fill(recHeaderLen)
-		if len(s.buf) == 0 {
+		var err error
+		switch {
+		case len(s.buf) == 0:
 			if s.rerr == nil || errors.Is(s.rerr, io.EOF) {
 				return 0, nil, io.EOF
 			}
 			return 0, nil, s.rerr
-		}
-		if len(s.buf) < recHeaderLen {
-			// Tail too short to hold any record.
-			if !lenient {
-				return 0, nil, &traceerr.RecordError{
-					Kind: traceerr.ErrTruncated, Record: -1, Frame: -1, Offset: s.off,
-					Cause: fmt.Errorf("%d trailing bytes, record header needs %d", len(s.buf), recHeaderLen),
-				}
-			}
-			skip(len(s.buf))
-			continue
-		}
-		if !bytes.Equal(s.buf[:4], recSync) {
-			if !lenient {
-				return 0, nil, &traceerr.RecordError{
-					Kind: traceerr.ErrCorruptRecord, Record: -1, Frame: -1, Offset: s.off,
-					Cause: errors.New("record boundary marker not found"),
-				}
-			}
-			if i := bytes.Index(s.buf, recSync); i >= 0 {
-				skip(i)
-			} else {
-				// Keep a marker-length tail: the marker may straddle
-				// the window edge.
-				skip(len(s.buf) - (len(recSync) - 1))
+		case len(s.buf) < recHeaderLen: // tail too short to hold any record
+			err = reject(traceerr.ErrTruncated, len(s.buf),
+				fmt.Errorf("%d trailing bytes, record header needs %d", len(s.buf), recHeaderLen))
+		case !bytes.Equal(s.buf[:4], recSync):
+			// Skip to the next marker, or keep a marker-length tail:
+			// the marker may straddle the window edge.
+			n := bytes.Index(s.buf, recSync)
+			if n < 0 {
+				n = len(s.buf) - (len(recSync) - 1)
 				if s.rerr != nil {
-					skip(len(s.buf))
+					n = len(s.buf)
 				}
 			}
-			continue
-		}
-		kind := s.buf[4]
-		plen := binary.LittleEndian.Uint32(s.buf[5:9])
-		crc := binary.LittleEndian.Uint32(s.buf[9:13])
-		if (kind != recKindHeader && kind != recKindFrame) || int64(plen) > DefaultMaxRecordBytes {
-			if !lenient {
-				return 0, nil, &traceerr.RecordError{
-					Kind: traceerr.ErrCorruptRecord, Record: -1, Frame: -1, Offset: s.off,
-					Cause: fmt.Errorf("implausible record header (kind %d, length %d)", kind, plen),
-				}
+			err = reject(traceerr.ErrCorruptRecord, n, errors.New("record boundary marker not found"))
+		default:
+			kind := s.buf[4]
+			plen := binary.LittleEndian.Uint32(s.buf[5:9])
+			total := recHeaderLen + int(plen)
+			// A false or damaged marker is rescanned from the next byte.
+			if (kind != recKindHeader && kind != recKindFrame) || int64(plen) > DefaultMaxRecordBytes {
+				err = reject(traceerr.ErrCorruptRecord, 1,
+					fmt.Errorf("implausible record header (kind %d, length %d)", kind, plen))
+			} else if s.fill(total); len(s.buf) < total {
+				err = reject(traceerr.ErrTruncated, 1,
+					fmt.Errorf("record needs %d bytes, %d remain", total, len(s.buf)))
+			} else if payload := s.buf[recHeaderLen:total]; crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(s.buf[9:13]) {
+				err = reject(traceerr.ErrCorruptRecord, 1, errors.New("payload checksum mismatch"))
+			} else {
+				s.discard(total)
+				s.recs++
+				return kind, payload, nil
 			}
-			skip(1) // false or damaged marker: rescan from the next byte
-			continue
 		}
-		total := recHeaderLen + int(plen)
-		s.fill(total)
-		if len(s.buf) < total {
-			if !lenient {
-				return 0, nil, &traceerr.RecordError{
-					Kind: traceerr.ErrTruncated, Record: -1, Frame: -1, Offset: s.off,
-					Cause: fmt.Errorf("record needs %d bytes, %d remain", total, len(s.buf)),
-				}
-			}
-			skip(1)
-			continue
+		if err != nil {
+			return 0, nil, err
 		}
-		payload := s.buf[recHeaderLen:total]
-		if crc32.ChecksumIEEE(payload) != crc {
-			if !lenient {
-				return 0, nil, &traceerr.RecordError{
-					Kind: traceerr.ErrCorruptRecord, Record: -1, Frame: -1, Offset: s.off,
-					Cause: errors.New("payload checksum mismatch"),
-				}
-			}
-			skip(1)
-			continue
-		}
-		out := make([]byte, len(payload))
-		copy(out, payload)
-		s.discard(total)
-		return kind, out, nil
 	}
 }
 
@@ -242,84 +179,62 @@ type ReaderOptions struct {
 	MaxBytes int64
 }
 
-// StreamReader reads frame streams in either format version with
-// optional graceful degradation. Construct with NewStreamReader.
+// StreamReader reads a stream container frame by frame with optional
+// graceful degradation. Construct with NewStreamReader.
 type StreamReader struct {
-	opt     ReaderOptions
-	capped  *cappedReader
-	shell   *Workload
-	check   *drawChecker // one validation pass over the whole stream
-	version int
-	diag    traceerr.Diagnostics
-	frames  int // frames delivered
-	records int // records consumed (v2)
-
-	sc     *recordScanner // v2 path
-	dec    *gob.Decoder   // v1 path
-	v1dead bool
+	opt    ReaderOptions
+	capped *cappedReader
+	sc     *recordScanner
+	shell  *Workload
+	check  *drawChecker // one validation pass over the whole stream
+	diag   traceerr.Diagnostics
+	frames int // frames delivered
 }
 
-// NewStreamReader sniffs the format version, reads and validates the
-// stream header, and returns a reader positioned at the first frame.
+// NewStreamReader checks the container magic and version, reads and
+// validates the stream header, and returns a reader positioned at the
+// first frame.
 func NewStreamReader(in io.Reader, opt ReaderOptions) (*StreamReader, error) {
 	r := &StreamReader{opt: opt, capped: newCappedReader(in, opt.MaxBytes)}
+	r.sc = &recordScanner{r: r.capped}
 	if err := r.readHeader(); err != nil {
-		return nil, r.capped.capErr(err)
+		return nil, r.capped.capErr(fmt.Errorf("trace: decoding stream header: %w", err))
 	}
 	return r, nil
 }
 
 func (r *StreamReader) readHeader() error {
-	sc := &recordScanner{r: r.capped}
-	sc.fill(len(streamMagic) + 1)
-	if len(sc.buf) >= len(streamMagic)+1 && bytes.Equal(sc.buf[:len(streamMagic)], streamMagic) {
-		if ver := sc.buf[len(streamMagic)]; int(ver) != StreamVersion {
-			return &traceerr.RecordError{
-				Kind: traceerr.ErrVersionMismatch, Record: -1, Frame: -1, Offset: int64(len(streamMagic)),
-				Cause: fmt.Errorf("stream version %d, this build reads v1 and v%d", ver, StreamVersion),
-			}
-		}
-		sc.discard(len(streamMagic) + 1)
-		r.version = 2
-		r.sc = sc
-		kind, payload, err := sc.next(r.opt.Lenient, &r.diag)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				err = &traceerr.RecordError{Kind: traceerr.ErrTruncated, Record: 0, Frame: -1, Offset: sc.off,
-					Cause: errors.New("stream ends before header record")}
-			}
-			return fmt.Errorf("trace: decoding stream header: %w", r.atRecord(err))
-		}
-		r.records++
-		if kind != recKindHeader {
-			return fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
-				Kind: traceerr.ErrCorruptRecord, Record: 0, Frame: -1, Offset: sc.off,
-				Cause: fmt.Errorf("first record has kind %d, want header", kind)})
-		}
-		var h Header
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&h); err != nil {
-			return fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
-				Kind: traceerr.ErrCorruptRecord, Record: 0, Frame: -1, Offset: sc.off, Cause: err})
-		}
-		return r.bindHeader(h)
+	sc := r.sc
+	n := len(streamMagic) + 1
+	sc.fill(n)
+	switch {
+	case len(sc.buf) < n && bytes.HasPrefix(streamMagic, sc.buf):
+		return recordErr(traceerr.ErrTruncated, -1, 0,
+			fmt.Errorf("%d bytes, the container preamble needs %d", len(sc.buf), n))
+	case !bytes.HasPrefix(sc.buf, streamMagic):
+		// Most likely a gob trace from an older build.
+		return recordErr(traceerr.ErrCorruptRecord, -1, 0, fmt.Errorf("input opens with %q, not the %q "+
+			"stream magic or JSON (gob traces are no longer read); %s", sc.buf[:min(n, len(sc.buf))], StreamMagic, regenerate))
+	case sc.buf[n-1] != StreamVersion:
+		return recordErr(traceerr.ErrVersionMismatch, -1, int64(len(streamMagic)),
+			fmt.Errorf("stream version %d, this build reads only v%d; %s", sc.buf[n-1], StreamVersion, regenerate))
 	}
-
-	// No magic: legacy v1 raw gob. Replay the sniffed bytes.
-	r.version = 1
-	dec := gob.NewDecoder(io.MultiReader(bytes.NewReader(sc.buf), r.capped))
-	var h Header
-	if err := dec.Decode(&h); err != nil {
-		return fmt.Errorf("trace: decoding stream header: %w", &traceerr.RecordError{
-			Kind: classifyDecodeErr(err), Record: 0, Frame: -1, Offset: -1, Cause: err})
+	sc.discard(n)
+	kind, payload, err := sc.next(r.opt.Lenient, &r.diag)
+	switch {
+	case errors.Is(err, io.EOF):
+		return recordErr(traceerr.ErrTruncated, 0, sc.off, errors.New("stream ends before header record"))
+	case err != nil:
+		return err
+	case kind != recKindHeader:
+		return recordErr(traceerr.ErrCorruptRecord, 0, sc.off, fmt.Errorf("first record has kind %d, want header", kind))
 	}
-	r.dec = dec
-	return r.bindHeader(h)
-}
-
-// bindHeader materializes the shell the stream's frames are checked
-// against. A header that decoded but describes no usable workload is
-// classified as invalid content.
-func (r *StreamReader) bindHeader(h Header) error {
+	h, err := decodeHeader(payload)
+	if err != nil {
+		return recordErr(traceerr.ErrCorruptRecord, 0, sc.off, err)
+	}
+	// A header that decoded but describes no usable workload is
+	// classified as invalid content.
 	shell, err := h.Shell()
 	if err != nil {
 		return classed{traceerr.ErrInvalidFrame, err}
@@ -328,30 +243,14 @@ func (r *StreamReader) bindHeader(h Header) error {
 	return nil
 }
 
-// classifyDecodeErr maps a gob failure onto the taxonomy: inputs that
-// ran out are truncation, everything else is corruption.
-func classifyDecodeErr(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return traceerr.ErrTruncated
-	}
-	return traceerr.ErrCorruptRecord
-}
-
-// atRecord stamps the current record index onto a scanner error.
-func (r *StreamReader) atRecord(err error) error {
-	var re *traceerr.RecordError
-	if errors.As(err, &re) && re.Record < 0 {
-		re.Record = r.records
-	}
-	return err
+// recordErr classifies a failure at a record that is not a frame.
+func recordErr(class error, record int, offset int64, cause error) error {
+	return &traceerr.RecordError{Kind: class, Record: record, Frame: -1, Offset: offset, Cause: cause}
 }
 
 // Shell returns the frameless workload the stream's frames belong to.
 // Callers must not append frames to it; it exists to resolve resources.
 func (r *StreamReader) Shell() *Workload { return r.shell }
-
-// Version reports the container version being read (1 or 2).
-func (r *StreamReader) Version() int { return r.version }
 
 // FramesRead returns how many frames have been delivered.
 func (r *StreamReader) FramesRead() int { return r.frames }
@@ -375,81 +274,43 @@ func (r *StreamReader) NextFrame() (Frame, error) {
 
 func (r *StreamReader) nextFrame() (Frame, error) {
 	for {
-		var f Frame
-		if r.version == 2 {
-			kind, payload, err := r.sc.next(r.opt.Lenient, &r.diag)
-			if errors.Is(err, io.EOF) {
-				return Frame{}, io.EOF
-			}
-			if err != nil {
-				return Frame{}, fmt.Errorf("trace: decoding frame %d: %w", r.frames, r.atRecord(err))
-			}
-			rec := r.records
-			r.records++
-			if kind != recKindFrame {
-				// A header record mid-stream: tolerated leniently as a
-				// skipped record (e.g. two captures concatenated).
-				if !r.opt.Lenient {
-					return Frame{}, fmt.Errorf("trace: decoding frame %d: %w", r.frames, &traceerr.RecordError{
-						Kind: traceerr.ErrCorruptRecord, Record: rec, Frame: r.frames, Offset: r.sc.off,
-						Cause: fmt.Errorf("unexpected record kind %d mid-stream", kind)})
-				}
-				r.diag.RecordsResynced++
-				r.diag.BytesDiscarded += int64(recHeaderLen + len(payload))
-				continue
-			}
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&f); err != nil {
-				if !r.opt.Lenient {
-					return Frame{}, fmt.Errorf("trace: decoding frame %d: %w", r.frames, &traceerr.RecordError{
-						Kind: traceerr.ErrCorruptRecord, Record: rec, Frame: r.frames, Offset: r.sc.off, Cause: err})
-				}
-				r.diag.FramesSkipped++
-				continue
-			}
-		} else {
-			if r.v1dead {
-				return Frame{}, io.EOF
-			}
-			if err := r.dec.Decode(&f); err != nil {
-				if errors.Is(err, io.EOF) {
-					return Frame{}, io.EOF
-				}
-				if !r.opt.Lenient {
-					return Frame{}, fmt.Errorf("trace: decoding frame %d: %w", r.frames, &traceerr.RecordError{
-						Kind: classifyDecodeErr(err), Record: -1, Frame: r.frames, Offset: -1, Cause: err})
-				}
-				// gob's wire format is stateful: after a decode error
-				// the rest of a v1 stream is unrecoverable.
-				r.v1dead = true
-				r.diag.FramesSkipped++
-				return Frame{}, io.EOF
-			}
+		kind, payload, err := r.sc.next(r.opt.Lenient, &r.diag)
+		if errors.Is(err, io.EOF) {
+			return Frame{}, io.EOF
 		}
-
-		if len(f.Draws) == 0 {
+		if err != nil {
+			return Frame{}, fmt.Errorf("trace: decoding frame %d: %w", r.frames, err)
+		}
+		rec := r.sc.recs - 1
+		fail := func(class error, offset int64, cause error) (Frame, error) {
+			return Frame{}, fmt.Errorf("trace: decoding frame %d: %w", r.frames, &traceerr.RecordError{
+				Kind: class, Record: rec, Frame: r.frames, Offset: offset, Cause: cause})
+		}
+		if kind != recKindFrame {
 			if !r.opt.Lenient {
-				return Frame{}, fmt.Errorf("trace: streamed frame %d has no draws: %w", r.frames, &traceerr.RecordError{
-					Kind: traceerr.ErrInvalidFrame, Record: r.records - 1, Frame: r.frames, Offset: -1})
+				return fail(traceerr.ErrCorruptRecord, r.sc.off, fmt.Errorf("unexpected record kind %d mid-stream", kind))
+			}
+			// A header record mid-stream (e.g. two captures
+			// concatenated) is skipped like damage.
+			r.diag.RecordsResynced++
+			r.diag.BytesDiscarded += int64(recHeaderLen + len(payload))
+			continue
+		}
+		f, err := decodeFrame(payload)
+		if err != nil {
+			if !r.opt.Lenient {
+				return fail(traceerr.ErrCorruptRecord, r.sc.off, err)
 			}
 			r.diag.FramesSkipped++
 			continue
 		}
-		if r.opt.Lenient {
-			dropped, _ := r.check.sanitizeFrame(&f)
-			r.diag.DrawsDropped += dropped
-			if len(f.Draws) == 0 {
-				r.diag.FramesSkipped++
-				continue
-			}
-		} else {
-			for di := range f.Draws {
-				if err := r.check.check(&f.Draws[di]); err != nil {
-					return Frame{}, fmt.Errorf("trace: streamed frame %d draw %d: %w", r.frames, di, &traceerr.RecordError{
-						Kind: traceerr.ErrInvalidFrame, Record: r.records - 1, Frame: r.frames, Offset: -1, Cause: err})
-				}
-			}
+		ok, err := r.check.admit(&f, r.opt.Lenient, &r.diag)
+		if err != nil {
+			return fail(traceerr.ErrInvalidFrame, -1, fmt.Errorf("frame %d %w", r.frames, err))
 		}
-		r.frames++
-		return f, nil
+		if ok {
+			r.frames++
+			return f, nil
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/tracetest"
 )
 
-// encodeV2Boundaries writes w in v2 stream format and returns the
+// encodeV2Boundaries writes w as a stream container and returns the
 // encoded bytes plus the byte offset where each frame record starts.
 func encodeV2Boundaries(t *testing.T, w *trace.Workload) ([]byte, []int) {
 	t.Helper()
@@ -52,9 +52,6 @@ func TestStreamV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Version() != 2 {
-		t.Fatalf("Version = %d, want 2", r.Version())
-	}
 	frames := drainFrames(t, r)
 	if len(frames) != w.NumFrames() {
 		t.Fatalf("read %d frames, want %d", len(frames), w.NumFrames())
@@ -69,51 +66,6 @@ func TestStreamV2RoundTrip(t *testing.T) {
 	}
 	if r.Diagnostics().Any() {
 		t.Errorf("clean stream produced diagnostics: %v", r.Diagnostics())
-	}
-}
-
-func TestStreamV1BackwardCompat(t *testing.T) {
-	// Streams written by the seed code (bare gob, no container) must
-	// still read through both the strict decoder and the new reader.
-	w := tracetest.Tiny()
-	var buf bytes.Buffer
-	enc, err := trace.NewStreamEncoderV1(&buf, trace.HeaderOf(w))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range w.Frames {
-		if err := enc.WriteFrame(&w.Frames[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1 := buf.Bytes()
-
-	dec, err := trace.NewStreamReader(bytes.NewReader(v1), trace.ReaderOptions{})
-	if err != nil {
-		t.Fatalf("v1 stream rejected by StreamReader: %v", err)
-	}
-	n := 0
-	for {
-		if _, err := dec.NextFrame(); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != w.NumFrames() {
-		t.Fatalf("decoded %d v1 frames, want %d", n, w.NumFrames())
-	}
-
-	r, err := trace.NewStreamReader(bytes.NewReader(v1), trace.ReaderOptions{Lenient: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", r.Version())
-	}
-	if got := drainFrames(t, r); len(got) != w.NumFrames() {
-		t.Fatalf("lenient reader got %d v1 frames, want %d", len(got), w.NumFrames())
 	}
 }
 

@@ -92,36 +92,29 @@ func (c *drawChecker) sanitizeFrame(f *Frame) (int, error) {
 	return dropped, errors.Join(errs...)
 }
 
-// Sanitize drops invalid draws and unusable frames from w in place —
-// the whole-workload lenient repair pass — returning the accounting.
-// It fails only when the workload is structurally beyond repair (no
-// name or shader registry) or when nothing usable survives.
-func (w *Workload) Sanitize() (traceerr.Diagnostics, error) {
-	var diag traceerr.Diagnostics
-	if w.Name == "" || w.Shaders == nil {
-		// Structurally hopeless content classifies as an invalid frame
-		// for ingestion error mapping: the bytes parsed but don't
-		// describe a usable workload.
-		return diag, fmt.Errorf("trace: workload beyond repair (%v): %w", w.Validate(), traceerr.ErrInvalidFrame)
-	}
-	kept := w.Frames[:0]
-	c := w.newDrawChecker()
-	for fi := range w.Frames {
-		f := &w.Frames[fi]
+// admit is every reader's per-frame check against the resource
+// tables. Strict mode fails on a frame without draws or on its first
+// invalid draw; lenient mode drops invalid draws, counts them, and
+// reports false — a skipped frame — when none survive.
+func (c *drawChecker) admit(f *Frame, lenient bool, diag *traceerr.Diagnostics) (bool, error) {
+	if lenient {
 		dropped, _ := c.sanitizeFrame(f)
 		diag.DrawsDropped += dropped
 		if len(f.Draws) == 0 {
 			diag.FramesSkipped++
-			continue
+			return false, nil
 		}
-		kept = append(kept, *f)
+		return true, nil
 	}
-	w.Frames = kept
-	if len(w.Frames) == 0 {
-		return diag, fmt.Errorf("trace: no usable frames survive sanitization (%v): %w",
-			diag, traceerr.ErrInvalidFrame)
+	if len(f.Draws) == 0 {
+		return false, errors.New("has no draws")
 	}
-	return diag, nil
+	for di := range f.Draws {
+		if err := c.check(&f.Draws[di]); err != nil {
+			return false, fmt.Errorf("draw %d: %w", di, err)
+		}
+	}
+	return true, nil
 }
 
 // drawChecker checks draws against one workload's resource tables

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -147,9 +148,12 @@ func TestValidateChecksSlotsOfEveryDraw(t *testing.T) {
 	if err := corruptLate().ValidateAll(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("ValidateAll = %v, want %q", err, want)
 	}
-	w := corruptLate()
-	diag, err := w.Sanitize()
+	var buf bytes.Buffer
+	if err := corruptLate().EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, _, diag, err := trace.ReadWorkload(&buf, trace.ReaderOptions{Lenient: true})
 	if err != nil || diag.DrawsDropped != 1 {
-		t.Errorf("Sanitize dropped %d draws (err %v), want exactly the late draw", diag.DrawsDropped, err)
+		t.Errorf("lenient read dropped %d draws (err %v), want exactly the late draw", diag.DrawsDropped, err)
 	}
 }
