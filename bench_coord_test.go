@@ -1,14 +1,14 @@
 // Scaling benchmark for the multi-worker sweep coordinator: the same
-// 32-config grid as BenchmarkShardSweep, priced sequentially in
-// process (path=naive) versus coordinated over 1, 2 and 3 real
-// subsetd-equivalent HTTP workers (real serve.Server handlers behind
-// real loopback listeners). Because this container has one core, the
-// coordinated arms report the DISTRIBUTED CRITICAL PATH: MaxInflight=1
-// serializes dispatches so every worker's wall time is measured clean,
-// and the reported ns/op is max(per-worker busy time) + merge — what a
-// wall clock would show with one machine per worker. The metric is
-// core-count independent, so the BENCH_coord.json gate transfers
-// across CI hosts. `make bench-coord` records speedup_vs_naive per
+// 32-config grid as BenchmarkShardSweep, priced in one process
+// (path=naive, shard.RunSequential) versus coordinated over 1, 2 and
+// 3 real subsetd-equivalent HTTP workers (real serve.Server handlers
+// behind real loopback listeners). A host has fewer cores than the
+// fleet models machines, so the coordinated arms report the
+// DISTRIBUTED CRITICAL PATH: MaxInflight=1 serializes dispatches so
+// every worker's wall time is measured clean, and the reported ns/op
+// is max(per-worker busy time) + merge — what a wall clock would show
+// with one machine per worker. Every arm prices with GOMAXPROCS
+// goroutines, so the BENCH_coord.json gate transfers across CI hosts. `make bench-coord` records speedup_vs_naive per
 // fleet width; the acceptance floor is >= 1.7x at 3 workers (HTTP,
 // JSON and per-dispatch planning overhead bound it away from ideal).
 package repro_test
@@ -80,7 +80,7 @@ func BenchmarkCoordSweep(b *testing.B) {
 				co, err := coord.New(coord.Options{
 					Workers:      urls,
 					Shards:       n, // one shard per worker: clean critical-path attribution
-					MaxInflight:  1, // serialize attempts so busy times don't overlap on one core
+					MaxInflight:  1, // serialize attempts so busy times don't share the host's cores
 					ShardTimeout: 5 * time.Minute,
 				})
 				if err != nil {

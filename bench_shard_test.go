@@ -1,16 +1,20 @@
 // Scaling benchmark for the distributed sweep sharding: a 32-config
-// grid sweep priced sequentially (path=naive) versus split across 2,
-// 4 and 8 shard workers sharing one cache directory. Because this
-// container has one core, the sharded arms measure the DISTRIBUTED
-// CRITICAL PATH — each worker runs to completion on its own (one
-// machine per shard, which is the deployment model), the critical
-// path is the slowest worker's wall time plus the merge, and that
-// number is reported as ns/op via b.ReportMetric (overriding the
-// harness's sum-of-all-work timing). The metric is core-count
-// independent, so the BENCH_shard.json gate transfers across CI
-// hosts. `make bench-shard` records speedup_vs_naive per shard count;
-// the acceptance floor is >= 3x at 8 shards (the measured value is
-// close to the ideal 8x because per-shard work dominates the merge).
+// grid sweep priced in one process (path=naive, shard.RunSequential)
+// versus split across 2, 4 and 8 shard workers sharing one cache
+// directory. A host has far fewer cores than a fleet has machines, so
+// the sharded arms measure the DISTRIBUTED CRITICAL PATH — each
+// worker runs to completion on its own (one machine per shard, which
+// is the deployment model), the critical path is the slowest worker's
+// wall time plus the merge, and that number is reported as ns/op via
+// b.ReportMetric (overriding the harness's sum-of-all-work timing).
+// Every arm, naive included, prices its configs with GOMAXPROCS
+// goroutines, so the ratio compares like with like on any host and
+// the BENCH_shard.json gate transfers across CI hosts. `make
+// bench-shard` records speedup_vs_naive per shard count; the
+// acceptance floor is >= 3x at 8 shards. Per-shard fixed costs
+// (fingerprint, plan, cache writes) keep it well below the ideal 8x:
+// a shard prices its few configs in one batched pass, so the
+// config-independent per-draw work does not shrink with the shard.
 package repro_test
 
 import (

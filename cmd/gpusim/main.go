@@ -203,7 +203,7 @@ func price(ctx context.Context, run *obs.Run, cfg config) error {
 		_, fsp := obs.StartSpan(pctx, "fingerprint")
 		fp := w.Fingerprint()
 		fsp.End()
-		priced, perr := sweep.PriceParent(cache.WithWorkload(pctx, rcache, fp), sim, w, cfgGPU)
+		priced, perr := sweep.PriceParent(cache.WithWorkload(pctx, rcache, fp), sim)
 		err = perr
 		res = priced.RunResult(cfgGPU.Name)
 	} else {

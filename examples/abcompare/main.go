@@ -54,15 +54,12 @@ func main() {
 			log.Fatal(err)
 		}
 		estA, estB := sub.EstimateParentNs(simA), sub.EstimateParentNs(simB)
-		runA, err := simA.RunParallel(context.Background(), 0)
+		// Both full simulations in one pass over the trace.
+		runs, err := simA.PriceGrid(context.Background(), []gpu.Config{designA, designB}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		runB, err := simB.RunParallel(context.Background(), 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fullA, fullB := runA.TotalNs, runB.TotalNs
+		fullA, fullB := runs[0].TotalNs, runs[1].TotalNs
 
 		pick := func(a, b float64) string {
 			if a <= b {

@@ -20,9 +20,12 @@
 //     entries are checksummed (see entry.go); corruption is counted,
 //     the file dropped, and the value recomputed. Errors classify
 //     under the traceerr taxonomy.
-//   - Concurrent workers computing the same key share one computation
-//     (single-flight): the first caller computes, the rest wait and
-//     decode the stored bytes.
+//   - Concurrent workers computing the same key through GetOrCompute
+//     share one computation (single-flight): the first caller
+//     computes, the rest wait and decode the stored bytes. Callers
+//     that batch their misses use the two halves, Get and Put,
+//     directly; they are not single-flighted, and a duplicate compute
+//     stores the same bytes.
 //   - A canceled request never blocks on the disk. Disk reads and
 //     writes are interruptible: cancellation returns immediately while
 //     the operation completes in the background (never torn), and
@@ -352,44 +355,67 @@ func (c *Cache) leave(key Key, done chan struct{}) {
 	close(done)
 }
 
-// GetOrCompute returns the value for key, computing and storing it on
-// a miss. A nil cache computes directly. Hits gob-decode a fresh copy,
-// so the caller owns the result outright. Concurrent callers of the
-// same key on the same cache share one computation: the leader
-// computes and stores, waiters decode the stored bytes (and compute
-// themselves only if the leader failed to store, so dedup is
-// best-effort and never adds a failure mode).
-//
-// Lookup time (not compute time) aggregates into a "cache.lookup"
+// Get looks key up in both tiers and decodes a fresh copy, so the
+// caller owns the result outright. ok is false on a miss, on a nil
+// cache, and on a stored payload that does not decode as T: that entry
+// is counted corrupt and dropped, so the caller's recompute replaces
+// it. Lookup time (not compute time) aggregates into a "cache.lookup"
 // merged span under the stage span in ctx, when a run is attached.
-func GetOrCompute[T any](ctx context.Context, c *Cache, key Key, compute func() (T, error)) (T, error) {
+func Get[T any](ctx context.Context, c *Cache, key Key) (v T, ok bool) {
 	if c == nil {
-		return compute()
+		return v, false
 	}
 	sp := obs.SpanFromContext(ctx).MergedChild("cache.lookup")
-	for attempt := 0; ; attempt++ {
-		t0 := time.Now()
-		data, ok := c.lookup(ctx, key)
-		if ok {
-			var v T
-			err := decodePayload(data, &v)
-			sp.AddDuration(time.Since(t0))
-			sp.AddItems(1)
-			if err == nil {
-				return v, nil
-			}
+	t0 := time.Now()
+	data, ok := c.lookup(ctx, key)
+	if ok {
+		if err := decodePayload(data, &v); err != nil {
 			// Undecodable payload under a matching key: the stored
 			// type does not match the requested one (a kind reused
-			// across types, or bit rot inside a gob). Drop and
-			// recompute.
+			// across types, or bit rot inside a gob). Drop it.
+			var zero T
+			v, ok = zero, false
 			c.corrupt.Add(1)
 			run := obs.RunFromContext(ctx)
 			run.Metrics().Counter("cache.corrupt").Inc()
 			run.Logger().Warn("cache payload undecodable, recomputing", "key", key.String(), "err", err)
 			c.remove(key)
-		} else {
-			sp.AddDuration(time.Since(t0))
-			sp.AddItems(1)
+		}
+	}
+	sp.AddDuration(time.Since(t0))
+	sp.AddItems(1)
+	return v, ok
+}
+
+// Put encodes v and admits it to both tiers. A nil cache ignores it.
+// Failures never reach the caller, who keeps the value it computed:
+// they are counted in Stats.Errors and logged.
+func Put[T any](ctx context.Context, c *Cache, key Key, v T) {
+	if c == nil {
+		return
+	}
+	payload, err := encodePayload(&v)
+	if err != nil {
+		c.errs.Add(1)
+		obs.RunFromContext(ctx).Logger().Warn("cache encode failed", "key", key.String(), "err", err)
+		return
+	}
+	c.store(ctx, key, payload)
+}
+
+// GetOrCompute returns the value for key: a Get, and on a miss the
+// computed value, which it Puts. A nil cache computes directly.
+// Concurrent callers of the same key on the same cache share one
+// computation: the leader computes and stores, waiters decode the
+// stored bytes (and compute themselves only if the leader failed to
+// store, so dedup is best-effort and never adds a failure mode).
+func GetOrCompute[T any](ctx context.Context, c *Cache, key Key, compute func() (T, error)) (T, error) {
+	if c == nil {
+		return compute()
+	}
+	for attempt := 0; ; attempt++ {
+		if v, ok := Get[T](ctx, c, key); ok {
+			return v, nil
 		}
 		// A canceled context must not fall through to compute: the
 		// lookup above may have been cut short mid-disk-read, and the
@@ -420,19 +446,11 @@ func GetOrCompute[T any](ctx context.Context, c *Cache, key Key, compute func() 
 			return compute()
 		}
 		v, err := compute()
-		if err != nil {
-			c.leave(key, done)
-			return v, err
-		}
-		payload, encErr := encodePayload(&v)
-		if encErr == nil {
-			c.store(ctx, key, payload)
-		} else {
-			c.errs.Add(1)
-			obs.RunFromContext(ctx).Logger().Warn("cache encode failed", "key", key.String(), "err", encErr)
+		if err == nil {
+			Put(ctx, c, key, v)
 		}
 		c.leave(key, done)
-		return v, nil
+		return v, err
 	}
 }
 

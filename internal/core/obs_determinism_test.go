@@ -67,6 +67,26 @@ func TestReportDeterministicWithObservability(t *testing.T) {
 	if m.Metrics.Counters["parallel.tasks"] == 0 {
 		t.Error("observed run recorded no parallel.tasks")
 	}
+	// The validation sweep prices the parent on every clock in one
+	// batched pass: one price-grid span under validation-sweep.
+	nClocks := int64(len(DefaultOptions().ValidationClocks))
+	if got := m.Metrics.Counters["sweep.configs_priced"]; got != nClocks {
+		t.Errorf("sweep.configs_priced = %d, want %d", got, nClocks)
+	}
+	var grids []obs.StageManifest
+	for _, st := range m.Stages {
+		if st.Name != "validation-sweep" {
+			continue
+		}
+		for _, ch := range st.Children {
+			if ch.Name == "price-grid" {
+				grids = append(grids, ch)
+			}
+		}
+	}
+	if len(grids) != 1 || grids[0].Items != nClocks || grids[0].Workers != 4 {
+		t.Errorf("price-grid spans under validation-sweep %+v, want one with %d items on 4 workers", grids, nClocks)
+	}
 }
 
 // TestObsStaysOutOfReport extends the leak guard: the Report type must

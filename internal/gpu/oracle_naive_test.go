@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -341,6 +342,48 @@ func TestDrawCostMatchesNaiveOracle(t *testing.T) {
 			t.Errorf("%s: no draw overflows the %d KB cache; the capacity branch is untested", w.Name, small.cfg.TexCacheKB)
 		}
 	}
+}
+
+// The batch path must reproduce the frozen oracle too: PriceGrid over
+// every oracle config, folded config by config from the naive
+// DrawCost, bit for bit, at one and at several workers.
+func TestPriceGridMatchesNaiveOracle(t *testing.T) {
+	cfgs := oracleConfigs()
+	for _, w := range oracleWorkloads(t) {
+		base, err := NewSimulator(BaseConfig(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			got, err := base.PriceGrid(context.Background(), cfgs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cfg := range cfgs {
+				if diff := runBitsDiff(got[i], newNaiveSim(cfg, w).run()); diff != "" {
+					t.Fatalf("%s workers %d config %s: %s", w.Name, workers, cfg.Name, diff)
+				}
+			}
+		}
+	}
+}
+
+// run prices the whole workload one draw at a time, folding like
+// Simulator.RunTotals.
+func (s *naiveSim) run() PricedRun {
+	run := PricedRun{FrameNs: make([]float64, len(s.w.Frames))}
+	for fi := range s.w.Frames {
+		f := &s.w.Frames[fi]
+		var frameNs float64
+		for di := range f.Draws {
+			dc := s.DrawCost(&f.Draws[di])
+			frameNs += dc.TotalNs
+			run.Totals.Add(dc, 1)
+		}
+		run.FrameNs[fi] = frameNs
+		run.TotalNs += frameNs
+	}
+	return run
 }
 
 // Subset draws are copies priced against the parent's resources, not

@@ -59,7 +59,7 @@ func (s *Simulator) FrameDetailed(f *trace.Frame, maxSamplesPerDraw int) (Detail
 				return DetailedFrameResult{}, err
 			}
 			dc.TexBytes = measured
-			s.finalize(&dc, d)
+			s.finalize(&dc, drawNoiseZ(d))
 		}
 		res.DrawNs[di] = dc.TotalNs
 		res.TotalNs += dc.TotalNs

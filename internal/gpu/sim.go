@@ -84,8 +84,8 @@ type Simulator struct {
 	texCacheBytes int
 }
 
-func newSimulator(cfg Config, w *trace.Workload, res resources) *Simulator {
-	return &Simulator{
+func newSimulator(cfg Config, w *trace.Workload, res resources) Simulator {
+	return Simulator{
 		cfg: cfg, w: w, res: res,
 		shaderRate:    cfg.ShaderRate(),
 		bandwidthGBs:  cfg.BandwidthGBs(),
@@ -100,7 +100,8 @@ func NewSimulator(cfg Config, w *trace.Workload) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newSimulator(cfg, w, newResources(w)), nil
+	sim := newSimulator(cfg, w, newResources(w))
+	return &sim, nil
 }
 
 // Config returns the simulated configuration.
@@ -117,7 +118,8 @@ func (s *Simulator) WithConfig(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newSimulator(cfg, s.w, s.res), nil
+	sim := newSimulator(cfg, s.w, s.res)
+	return &sim, nil
 }
 
 // DrawCost prices one draw call. The draw must reference resources of
@@ -129,90 +131,151 @@ func (s *Simulator) DrawCost(d *trace.DrawCall) (dc DrawCost) {
 	return dc
 }
 
-// price is the per-draw kernel behind DrawCost, DrawNs, DrawTotals and
-// FrameNs. It fills a zero *dc in place, so callers that keep a few
-// fields do not copy the whole DrawCost per draw.
+// price is the per-draw kernel behind DrawCost, DrawNs, DrawTotals,
+// FrameNs and FrameDetailed: the draw's config-independent terms
+// composed with this simulator's config. PriceGrid runs the same two
+// halves, computing the terms and the noise variate once per draw for
+// a whole batch of configs. It overwrites every field of *dc, so
+// callers that keep a few fields do not copy the whole DrawCost per
+// draw.
+//
+// It is finalize with the noise variate hashed late, after settle has
+// issued its square root, in the order the fused kernel before the
+// split used: the hash's integer work then overlaps the division
+// chain. Hashing it first made this one-config path ~7% slower
+// (interleaved passes over 32 bioshock1 frames, 2-core Xeon).
 func (s *Simulator) price(d *trace.DrawCall, dc *DrawCost) {
-	cfg := &s.cfg
-	vsPC, ok := s.res.progs.Lookup(d.VS)
+	var t drawTerms
+	samples, workingSet := s.res.drawTerms(d, &t)
+	tt := texTraffic{HitRate: 1}
+	if samples > 0 {
+		tt = modelTexTraffic(samples, workingSet, s.texCacheBytes, s.cfg.TexCacheLineB)
+	}
+	s.priceTerms(&t, tt, dc)
+	if sigma, noisy := s.settle(dc); noisy {
+		dc.TotalNs *= math.Exp(sigma * drawNoiseZ(d))
+	}
+}
+
+// drawTerms are the config-independent terms of one draw that the
+// per-config half reads: everything the kernel derives from the draw
+// and the workload's resource tables before it reads a Config. They
+// live on the stack for one draw; there is deliberately no per-draw
+// table of them (DESIGN §11). They fit in 64 bytes, so declaring one
+// costs no zeroing call.
+type drawTerms struct {
+	verts, prims     float64
+	shaded           float64 // covered pixels × overdraw
+	vsWork, psWork   float64 // EU clocks: elements × clocks per element
+	rtBytes          float64 // colour traffic before blending and compression
+	blend, depthTest bool    // read-modify-write colour; Z against the target's depth buffer
+}
+
+// drawTerms fills t for d and returns the texture model's inputs: the
+// samples the draw issues and its texture working set, capped by the
+// samples. It is a method on the resource tables, not on a Simulator,
+// so it cannot read a config. It panics on dangling references because
+// those indicate a corrupted subset, not a runtime condition.
+func (r *resources) drawTerms(d *trace.DrawCall, t *drawTerms) (samples, workingSet float64) {
+	vsPC, ok := r.progs.Lookup(d.VS)
 	if !ok {
 		panic(fmt.Sprintf("gpu: draw references unknown VS %d", d.VS))
 	}
-	psPC, ok := s.res.progs.Lookup(d.PS)
+	psPC, ok := r.progs.Lookup(d.PS)
 	if !ok {
 		panic(fmt.Sprintf("gpu: draw references unknown PS %d", d.PS))
 	}
-	rt, ok := s.res.rt(d.RT)
+	rt, ok := r.rt(d.RT)
 	if !ok {
 		panic(fmt.Sprintf("gpu: draw references unknown render target %d", d.RT))
 	}
 
-	verts := float64(d.TotalVertices())
-	prims := float64(d.TotalPrimitives())
+	t.verts = float64(d.TotalVertices())
+	t.prims = float64(d.TotalPrimitives())
 	covered := d.CoverageFrac * rt.pixels
-	dc.ShadedPixels = covered * d.Overdraw
+	t.shaded = covered * d.Overdraw
+	t.vsWork = t.verts * vsPC.clocksPerElem
+	t.psWork = t.shaded * psPC.clocksPerElem
+	t.rtBytes = covered * rt.bytesPerPixel
+	t.blend = d.BlendEnable
+	t.depthTest = d.DepthEnable && rt.hasDepth
 
-	// Core domain: each stage is a throughput; the pipeline runs at the
-	// rate of its slowest stage.
-	rate := s.shaderRate
-	dc.VSCycles = verts * vsPC.clocksPerElem / rate
-	dc.SetupCycles = prims / cfg.PrimSetupRate
-	dc.RasterCycles = dc.ShadedPixels / cfg.RasterRate
-	dc.PSCycles = dc.ShadedPixels * psPC.clocksPerElem / rate
-	ropPixels := dc.ShadedPixels
-	if d.BlendEnable {
-		ropPixels *= 2 // read-modify-write
-	}
-	dc.ROPCycles = ropPixels / cfg.ROPRate
-	dc.CoreCycles = max5(dc.VSCycles, dc.SetupCycles, dc.RasterCycles, dc.PSCycles, dc.ROPCycles)
-	dc.ComputeNs = dc.CoreCycles / cfg.CoreClockGHz
-
-	// Memory domain.
-	dc.VertexBytes = verts * float64(cfg.VertexSizeB)
-	samples := dc.ShadedPixels * psPC.texPerElem
+	samples = t.shaded * psPC.texPerElem
 	if samples > 0 {
-		var ws float64
 		for _, tid := range d.Textures {
 			if tid == 0 {
 				continue
 			}
-			fp, ok := s.res.texFootprint(tid)
+			fp, ok := r.texFootprint(tid)
 			if !ok {
 				panic(fmt.Sprintf("gpu: draw references unknown texture %d", tid))
 			}
-			ws += fp
+			workingSet += fp
 		}
-		ws *= d.TexLocality
+		workingSet *= d.TexLocality
 		// A draw cannot touch more unique texels than it samples: cap
 		// the working set by the sample count (at ~1 texel per sample;
 		// bilinear neighbours share cache lines). Without this cap,
 		// small-coverage draws bound to large textures are charged for
 		// footprints they never touch.
-		if maxWS := samples * texelBytes; ws > maxWS {
-			ws = maxWS
+		if maxWS := samples * texelBytes; workingSet > maxWS {
+			workingSet = maxWS
 		}
-		tt := modelTexTraffic(samples, ws, s.texCacheBytes, cfg.TexCacheLineB)
-		dc.TexBytes = tt.Bytes
-		dc.TexHitRate = tt.HitRate
-	} else {
-		dc.TexHitRate = 1
 	}
-	rtBytes := covered * rt.bytesPerPixel
-	if d.BlendEnable {
-		rtBytes *= 2 // destination read + write
+	return samples, workingSet
+}
+
+// priceTerms is the per-config half of the kernel up to finalize,
+// which the caller runs next: the stage throughputs and the memory
+// terms, on s's config. tt is the draw's texture traffic under s's
+// cache geometry, which depends on the geometry alone, so a grid pass
+// models it once per distinct geometry. Together with finalize it
+// overwrites every field of *dc.
+func (s *Simulator) priceTerms(t *drawTerms, tt texTraffic, dc *DrawCost) {
+	cfg := &s.cfg
+	dc.ShadedPixels = t.shaded
+	ropPixels, rtBytes := t.shaded, t.rtBytes
+	if t.blend {
+		ropPixels *= 2 // read-modify-write
+		rtBytes *= 2   // destination read + write
 	}
+
+	// Core domain: each stage is a throughput; the pipeline runs at the
+	// rate of its slowest stage.
+	rate := s.shaderRate
+	dc.VSCycles = t.vsWork / rate
+	dc.SetupCycles = t.prims / cfg.PrimSetupRate
+	dc.RasterCycles = t.shaded / cfg.RasterRate
+	dc.PSCycles = t.psWork / rate
+	dc.ROPCycles = ropPixels / cfg.ROPRate
+	dc.CoreCycles = max5(dc.VSCycles, dc.SetupCycles, dc.RasterCycles, dc.PSCycles, dc.ROPCycles)
+	dc.ComputeNs = dc.CoreCycles / cfg.CoreClockGHz
+
+	// Memory domain.
+	dc.VertexBytes = t.verts * float64(cfg.VertexSizeB)
+	dc.TexBytes = tt.Bytes
+	dc.TexHitRate = tt.HitRate
 	dc.RTBytes = rtBytes * cfg.ColorCompression
-	if d.DepthEnable && rt.hasDepth {
-		dc.DepthBytes = dc.ShadedPixels * 4 * 2 * cfg.DepthCompression // 32-bit Z read + write
+	dc.DepthBytes = 0
+	if t.depthTest {
+		dc.DepthBytes = t.shaded * 4 * 2 * cfg.DepthCompression // 32-bit Z read + write
 	}
-	s.finalize(dc, d)
 }
 
 // finalize derives MemoryNs and TotalNs from the traffic fields and
-// ComputeNs — shared by the analytic path and the shared-cache
-// detailed path (which overrides TexBytes with measured traffic before
-// re-finalizing).
-func (s *Simulator) finalize(dc *DrawCost, d *trace.DrawCall) {
+// ComputeNs — shared by the grid pass and the shared-cache detailed
+// path (which overrides TexBytes with measured traffic before
+// re-finalizing). noiseZ is the draw's drawNoiseZ.
+func (s *Simulator) finalize(dc *DrawCost, noiseZ float64) {
+	if sigma, noisy := s.settle(dc); noisy {
+		dc.TotalNs *= math.Exp(sigma * noiseZ)
+	}
+}
+
+// settle is finalize up to the noise term: it derives MemoryNs and the
+// noise-free TotalNs, and returns the sigma of the draw's lognormal
+// noise factor; noisy is false when the config has no noise term.
+func (s *Simulator) settle(dc *DrawCost) (sigma float64, noisy bool) {
 	cfg := &s.cfg
 	dc.MemoryNs = dc.traffic() / s.bandwidthGBs // GB/s == bytes/ns
 
@@ -225,13 +288,14 @@ func (s *Simulator) finalize(dc *DrawCost, d *trace.DrawCall) {
 	}
 	dc.OverheadNs = cfg.DrawOverheadNs
 	dc.TotalNs = tc + cfg.OverlapBeta*tm + dc.OverheadNs
-	if cfg.NoiseAmp > 0 {
-		sigma := cfg.NoiseAmp * math.Sqrt(cfg.NoiseRefNs/dc.TotalNs)
-		if sigma > 0.5 {
-			sigma = 0.5
-		}
-		dc.TotalNs *= math.Exp(sigma * drawNoiseZ(d))
+	if cfg.NoiseAmp <= 0 {
+		return 0, false
 	}
+	sigma = cfg.NoiseAmp * math.Sqrt(cfg.NoiseRefNs/dc.TotalNs)
+	if sigma > 0.5 {
+		sigma = 0.5
+	}
+	return sigma, true
 }
 
 // drawNoiseZ returns an approximately standard-normal variate hashed

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -428,23 +427,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) computeSweep(ctx context.Context, e *workloadEntry, req SweepRequest) (SweepResponse, error) {
 	cfgs := sweep.Grid(gpu.BaseConfig(), req.CoreClocks, req.MemClocks)
+	base, err := gpu.NewSimulator(cfgs[0], e.W)
+	if err != nil {
+		return SweepResponse{}, err
+	}
+	priced, _, err := sweep.ResolveGrid(ctx, s.opt.Cache, base, e.FP, cfgs, s.opt.Workers)
+	if err != nil {
+		return SweepResponse{}, err
+	}
 	resp := SweepResponse{Workload: e.FP.String(), Points: make([]SweepPoint, len(cfgs))}
 	for i, cfg := range cfgs {
-		if err := ctx.Err(); err != nil {
-			return SweepResponse{}, fmt.Errorf("sweep canceled at config %d/%d: %w", i, len(cfgs), err)
-		}
-		sim, err := gpu.NewSimulator(cfg, e.W)
-		if err != nil {
-			return SweepResponse{}, err
-		}
-		priced, err := sweep.PriceParent(ctx, sim, e.W, cfg)
-		if err != nil {
-			return SweepResponse{}, err
-		}
 		resp.Points[i] = SweepPoint{
 			CoreClockGHz: cfg.CoreClockGHz,
 			MemClockGHz:  cfg.MemClockGHz,
-			TotalNs:      priced.TotalNs,
+			TotalNs:      priced[i].TotalNs,
 		}
 	}
 	for i := range resp.Points {
@@ -500,7 +496,7 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return PriceResponse{}, err
 			}
-			priced, err := sweep.PriceParent(ctx, sim, e.W, cfg)
+			priced, err := sweep.PriceParent(ctx, sim)
 			if err != nil {
 				return PriceResponse{}, err
 			}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/trace"
@@ -286,6 +288,21 @@ func TestSweepAndPrice(t *testing.T) {
 	}
 	if sr.Points[2].TotalNs >= sr.Points[0].TotalNs {
 		t.Errorf("2.0 GHz (%v ns) not faster than 0.5 GHz (%v ns)", sr.Points[2].TotalNs, sr.Points[0].TotalNs)
+	}
+	// The sweep prices its grid in one batch; every point must equal a
+	// one-config pass on its own simulator, bit for bit.
+	for _, p := range sr.Points {
+		sim, err := gpu.NewSimulator(gpu.BaseConfig().WithCoreClock(p.CoreClockGHz).WithMemClock(p.MemClockGHz), tracetest.Tiny())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.RunParallel(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.TotalNs) != math.Float64bits(p.TotalNs) {
+			t.Errorf("sweep point core %.2f: %v ns, one-config pass %v ns", p.CoreClockGHz, p.TotalNs, res.TotalNs)
+		}
 	}
 
 	rec = do(h, "POST", "/v1/price", []byte(fmt.Sprintf(`{"workload":%q}`, fp)))

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/gpu"
+	"repro/internal/obs"
 	"repro/internal/synth"
 	"repro/internal/trace"
 	"repro/internal/tracetest"
@@ -326,5 +327,71 @@ func TestSequentialWarmsShardsAndViceVersa(t *testing.T) {
 	}
 	if !bytes.Equal(encodeRM(t, rm), encodeRM(t, ref)) {
 		t.Fatal("warm-cache shard differs from the sequential run that warmed it")
+	}
+}
+
+// TestHalfWarmShardPricesOnlyMisses: over a directory holding half the
+// grid, a worker owning the whole grid prices exactly the other half in
+// one batch, and its WorkerStats agree with its cache handle's
+// counters, its shard counters and its price-grid span.
+func TestHalfWarmShardPricesOnlyMisses(t *testing.T) {
+	w := testWorkload(t, 7)
+	cfgs := testGrid(4, 2)
+	cacheDir := t.TempDir()
+	warm, err := cache.New(cache.Config{Dir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := RunShard(context.Background(), warm, w, w.Fingerprint(), cfgs, Spec{Index: 0, Count: 2}); err != nil {
+		t.Fatal(err)
+	}
+	warm.Flush()
+
+	c, err := cache.New(cache.Config{Dir: cacheDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := obs.NewRun("shard-test")
+	m, st, err := RunShard(run.Context(context.Background()), c, w, w.Fingerprint(), cfgs, Spec{Index: 0, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Flush()
+	half := len(cfgs) / 2
+	if st.Owned != len(cfgs) || st.Computed != half || st.CacheHits != half {
+		t.Fatalf("half-warm worker stats %+v, want %d computed and %d hits", st, half, half)
+	}
+	if cs := c.Stats(); cs.Misses != int64(st.Computed) || cs.Hits != int64(st.CacheHits) {
+		t.Fatalf("cache stats %+v disagree with worker stats %+v", cs, st)
+	}
+	man := run.Finish()
+	ctr := man.Metrics.Counters
+	if ctr["shard.tasks_computed"] != int64(st.Computed) || ctr["sweep.configs_priced"] != int64(st.Computed) ||
+		ctr["shard.tasks_cache_hit"] != int64(st.CacheHits) {
+		t.Fatalf("counters %v disagree with worker stats %+v", ctr, st)
+	}
+	if len(man.Stages) != 1 || man.Stages[0].Name != "shard-worker" {
+		t.Fatalf("stages %+v, want one shard-worker", man.Stages)
+	}
+	var grids []obs.StageManifest
+	for _, ch := range man.Stages[0].Children {
+		if ch.Name == "price-grid" {
+			grids = append(grids, ch)
+		}
+	}
+	if len(grids) != 1 || grids[0].Items != int64(st.Computed) || grids[0].Workers < 1 {
+		t.Fatalf("price-grid spans %+v, want one with %d items", grids, st.Computed)
+	}
+
+	rm, err := Merge([]*Manifest{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := RunSequential(context.Background(), nil, w, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeRM(t, rm), encodeRM(t, ref)) {
+		t.Fatal("half-warm shard differs from the uncached sequential run")
 	}
 }

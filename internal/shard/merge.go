@@ -210,27 +210,18 @@ func Merge(ms []*Manifest) (*RunManifest, error) {
 // RunSequential prices the whole grid in-process, in grid order, and
 // folds it with the same foldRun the merge path uses. This is the
 // reference the determinism suite compares every sharded run against;
-// it is also gpusim's single-process sweep mode. Each task resolves
-// through the same lookup-or-compute as a shard's, so sequential and
-// sharded runs interoperate on one cache directory; like RunShard, ctx
-// must not carry a cache binding.
+// it is also gpusim's single-process sweep mode. Its tasks resolve
+// through the same resolver as a shard's (GOMAXPROCS workers), so
+// sequential and sharded runs interoperate on one cache directory.
 func RunSequential(ctx context.Context, c *cache.Cache, w *trace.Workload, cfgs []gpu.Config) (*RunManifest, error) {
 	fp := w.Fingerprint()
 	tasks, grid, err := Plan(fp, cfgs)
 	if err != nil {
 		return nil, err
 	}
-	base, err := gpu.NewSimulator(cfgs[0], w)
+	entries, _, err := resolve(ctx, c, w, fp, tasks, len(tasks))
 	if err != nil {
 		return nil, err
-	}
-	entries := make([]Entry, 0, len(tasks))
-	for _, t := range tasks {
-		e, _, err := resolveTask(ctx, c, base, w, t, len(tasks))
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
 	}
 	return foldRun(fp, grid, len(tasks), entries)
 }

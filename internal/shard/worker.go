@@ -18,9 +18,10 @@ type WorkerStats struct {
 	CacheHits int // ... resolved from the shared cache without pricing
 }
 
-// RunShard executes one shard of a sweep: for every owned task in grid
-// order, resolve the priced parent with one lookup-or-compute on the
-// task's key in c, and emit the per-shard manifest. c is the result
+// RunShard executes one shard of a sweep: resolve the priced parent
+// of every owned task through sweep.ResolveGrid on c — one lookup per
+// task key, the misses priced in one batched pass per GOMAXPROCS
+// group of configs — and emit the per-shard manifest. c is the result
 // store shards share; a disk-backed cache makes the sharding
 // cross-process, and a nil or memory-only cache degrades to pricing
 // everything owned, which is correct but unshared.
@@ -29,15 +30,13 @@ type WorkerStats struct {
 // key both price it and store field-equal entries, because pricing is
 // deterministic. A crashed worker therefore leaves nothing a rerun
 // must wait on, and the rerun serves its finished entries as cache
-// hits. The manifest
-// depends only on (workload, grid, spec): re-running a shard over any
-// cache state, or racing it against an overlapping shard, yields
-// byte-identical manifests.
+// hits. The manifest depends only on (workload, grid, spec): re-running
+// a shard over any cache state, or racing it against an overlapping
+// shard, yields byte-identical manifests.
 //
 // fp is w.Fingerprint(), which the caller has already paid for: a
 // server computes it once at upload and a CLI once per run, not once
-// per shard. ctx must not carry a cache binding (cache.WithWorkload):
-// the task key is resolved here, and pricing underneath runs uncached.
+// per shard.
 func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, fp trace.Fingerprint, cfgs []gpu.Config, spec Spec) (*Manifest, WorkerStats, error) {
 	var stats WorkerStats
 	if err := spec.Validate(); err != nil {
@@ -50,35 +49,24 @@ func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, fp trace.F
 	if err != nil {
 		return nil, stats, err
 	}
-	// The base simulator validates the workload once; per-task sims
-	// derive from it exactly like the sequential sweep's do.
-	base, err := gpu.NewSimulator(cfgs[0], w)
+	var owned []Task
+	for _, t := range tasks {
+		if spec.Owns(t.Seq) {
+			owned = append(owned, t)
+		}
+	}
+	entries, computed, err := resolve(ctx, c, w, fp, owned, len(tasks))
 	if err != nil {
 		return nil, stats, err
 	}
-
+	stats = WorkerStats{Owned: len(owned), Computed: computed, CacheHits: len(owned) - computed}
 	m := &Manifest{
 		Version:  ManifestVersion,
 		Workload: fp,
 		Grid:     grid,
 		GridSize: len(tasks),
 		Shard:    spec,
-	}
-	for _, t := range tasks {
-		if !spec.Owns(t.Seq) {
-			continue
-		}
-		stats.Owned++
-		e, computed, err := resolveTask(ctx, c, base, w, t, len(tasks))
-		if err != nil {
-			return nil, stats, err
-		}
-		if computed {
-			stats.Computed++
-		} else {
-			stats.CacheHits++
-		}
-		m.Entries = append(m.Entries, e)
+		Entries:  entries,
 	}
 	sp.AddItems(int64(stats.Owned))
 	mtr := obs.RunFromContext(ctx).Metrics()
@@ -88,29 +76,41 @@ func RunShard(ctx context.Context, c *cache.Cache, w *trace.Workload, fp trace.F
 	return m, stats, nil
 }
 
-// resolveTask builds one task's manifest entry from a single
-// lookup-or-compute on t.Key; computed reports whether this call
-// priced the task. It is the only place an Entry is built, shared by
-// RunShard and RunSequential.
-func resolveTask(ctx context.Context, c *cache.Cache, base *gpu.Simulator, w *trace.Workload, t Task, n int) (Entry, bool, error) {
-	computed := false
-	priced, err := cache.GetOrCompute(ctx, c, t.Key, func() (sweep.PricedParent, error) {
-		computed = true
-		_, p, err := sweep.PriceConfig(ctx, base, w, t.Config, t.Seq, n)
-		return p, err
-	})
-	if err != nil {
-		return Entry{}, false, fmt.Errorf("shard: task %d/%d: %w", t.Seq+1, n, err)
+// resolve prices tasks (of a grid of n) through sweep.ResolveGrid
+// with GOMAXPROCS workers and builds their manifest entries in task
+// order; computed counts the tasks priced rather than served from c.
+// It is the only place an Entry is built, shared by RunShard and
+// RunSequential.
+func resolve(ctx context.Context, c *cache.Cache, w *trace.Workload, fp trace.Fingerprint, tasks []Task, n int) ([]Entry, int, error) {
+	if len(tasks) == 0 {
+		return nil, 0, nil
 	}
-	return Entry{
-		Seq:          t.Seq,
-		CoreClockGHz: t.Config.CoreClockGHz,
-		MemClockGHz:  t.Config.MemClockGHz,
-		ConfigFP:     t.Config.Fingerprint(),
-		Key:          t.Key,
-		Frames:       len(priced.FrameNs),
-		FrameDigest:  frameDigest(priced.FrameNs),
-		TotalNs:      priced.TotalNs,
-		Totals:       priced.Totals,
-	}, computed, nil
+	cfgs := make([]gpu.Config, len(tasks))
+	for i, t := range tasks {
+		cfgs[i] = t.Config
+	}
+	base, err := gpu.NewSimulator(cfgs[0], w)
+	if err != nil {
+		return nil, 0, err
+	}
+	priced, computed, err := sweep.ResolveGrid(ctx, c, base, fp, cfgs, 0)
+	if err != nil {
+		return nil, 0, fmt.Errorf("shard: pricing %d of %d tasks: %w", len(tasks), n, err)
+	}
+	entries := make([]Entry, len(tasks))
+	for i, t := range tasks {
+		p := &priced[i]
+		entries[i] = Entry{
+			Seq:          t.Seq,
+			CoreClockGHz: t.Config.CoreClockGHz,
+			MemClockGHz:  t.Config.MemClockGHz,
+			ConfigFP:     t.Config.Fingerprint(),
+			Key:          t.Key,
+			Frames:       len(p.FrameNs),
+			FrameDigest:  frameDigest(p.FrameNs),
+			TotalNs:      p.TotalNs,
+			Totals:       p.Totals,
+		}
+	}
+	return entries, computed, nil
 }

@@ -36,10 +36,11 @@ type EnergyResult struct {
 
 // RunEnergyParallel prices the parent and the subset's reconstruction
 // on every config under the power model, and compares min-EDP
-// decisions. It fans out across at most workers goroutines (<= 0
-// selects GOMAXPROCS), one config per task. The min-EDP argmin is
-// taken sequentially over the points in grid order, so the decision is
-// bit-identical at any worker count.
+// decisions. The parent goes through ResolveGrid first, as in
+// RunParallel; the subset reconstructions then fan out across at most
+// workers goroutines (<= 0 selects GOMAXPROCS), one config per task.
+// The min-EDP argmin is taken sequentially over the points in grid
+// order, so the decision is bit-identical at any worker count.
 func RunEnergyParallel(ctx context.Context, w *trace.Workload, s *subset.Subset, pm gpu.PowerModel, cfgs []gpu.Config, workers int) (EnergyResult, error) {
 	if err := pm.Validate(); err != nil {
 		return EnergyResult{}, err
@@ -47,15 +48,16 @@ func RunEnergyParallel(ctx context.Context, w *trace.Workload, s *subset.Subset,
 	if len(cfgs) < 2 {
 		return EnergyResult{}, fmt.Errorf("sweep: need at least 2 configs, have %d", len(cfgs))
 	}
-	base, err := gpu.NewSimulator(cfgs[0], w)
+	base, parents, err := priceParents(ctx, w, cfgs, workers)
 	if err != nil {
 		return EnergyResult{}, err
 	}
 	points, err := parallel.MapSlice(ctx, workers, cfgs, func(ctx context.Context, i int, cfg gpu.Config) (EnergyPoint, error) {
-		sim, priced, err := PriceConfig(ctx, base, w, cfg, i, len(cfgs))
+		sim, err := base.WithConfig(cfg)
 		if err != nil {
 			return EnergyPoint{}, err
 		}
+		priced := parents[i]
 		pe := pm.Energy(cfg, priced.Totals)
 
 		tn, cn, mn, tb := s.EstimateParentTotals(sim)

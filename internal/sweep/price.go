@@ -6,20 +6,19 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/gpu"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
 // PricedParent is the cacheable product of pricing a parent workload
 // on one configuration: per-frame and total nanoseconds plus the
-// aggregate totals the power model consumes. Config.Name is not part
+// aggregate totals the power model consumes (gpu.PricedRun, under the
+// name its cache entries are encoded with). Config.Name is not part
 // of it — the cache key uses the config's cost-model fingerprint, so
 // two differently-named but identically-priced configs share one
 // entry.
-type PricedParent struct {
-	FrameNs []float64
-	TotalNs float64
-	Totals  gpu.Totals
-}
+type PricedParent gpu.PricedRun
 
 // PriceKey is the content address of PriceParent's product: the cache
 // key under which pricing workload fp on cfg is stored. It is exported
@@ -35,70 +34,94 @@ func PriceKey(fp trace.Fingerprint, cfg gpu.Config) cache.Key {
 		Sum()
 }
 
-// PriceParent prices every frame of w on the simulator, served
-// through the result cache when ctx carries a binding
-// (cache.WithWorkload) for w. The key is PriceKey (workload
-// fingerprint, config cost-model fingerprint, gpu.ModelVersion); a hit
-// skips the full per-draw pricing pass — the dominant cost of a grid
-// sweep. Without a binding it prices directly. sim must have been
-// built on w with cfg; the float accumulation order matches
-// Simulator.RunParallel exactly, so cached and direct pricing are
-// bit-identical.
-func PriceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload, cfg gpu.Config) (PricedParent, error) {
-	c, fp, ok := cache.ForWorkload(ctx)
-	if !ok {
-		return priceParent(ctx, sim, w)
+// PriceParent prices every frame of the simulator's workload on its
+// config: ResolveGrid on one config, served through the result cache
+// when ctx carries a binding (cache.WithWorkload) for the workload. A
+// hit skips the full per-draw pricing pass — the dominant cost of a
+// grid sweep.
+func PriceParent(ctx context.Context, sim *gpu.Simulator) (PricedParent, error) {
+	c, fp, _ := cache.ForWorkload(ctx)
+	priced, _, err := ResolveGrid(ctx, c, sim, fp, []gpu.Config{sim.Config()}, 1)
+	if err != nil {
+		return PricedParent{}, err
 	}
-	return cache.GetOrCompute(ctx, c, PriceKey(fp, cfg), func() (PricedParent, error) {
-		return priceParent(ctx, sim, w)
-	})
+	return priced[0], nil
 }
 
-// PriceConfig is the one per-config setup path every grid consumer
-// shares: derive the per-config simulator from base (skipping
-// re-validation) and price the parent on it through the result cache
-// when ctx carries one. RunParallel, RunEnergyParallel and the shard
-// worker all go through it, so a distributed shard can never drift
-// from the sequential path's setup or fold order. i and n only shape
-// the error context ("config i+1/n").
+// PriceConfig derives the per-config simulator from base (skipping
+// re-validation of the workload) and prices the parent on it through
+// PriceParent. w is the workload base was built on; base carries it,
+// so it is not read. i and n only shape the error context
+// ("config i+1/n").
 func PriceConfig(ctx context.Context, base *gpu.Simulator, w *trace.Workload, cfg gpu.Config, i, n int) (*gpu.Simulator, PricedParent, error) {
 	sim, err := base.WithConfig(cfg)
 	if err != nil {
 		return nil, PricedParent{}, err
 	}
-	priced, err := PriceParent(ctx, sim, w, cfg)
+	priced, err := PriceParent(ctx, sim)
 	if err != nil {
 		return nil, PricedParent{}, fmt.Errorf("sweep: config %d/%d: %w", i+1, n, err)
 	}
 	return sim, priced, nil
 }
 
-// priceParent is one full pricing pass with per-frame cancellation.
-// Per-frame times sum draws in order and the total sums frames in
-// order — the same accumulation as Simulator.RunParallel and RunTotals.
-func priceParent(ctx context.Context, sim *gpu.Simulator, w *trace.Workload) (PricedParent, error) {
-	p := PricedParent{FrameNs: make([]float64, len(w.Frames))}
-	for i := range w.Frames {
-		if err := ctx.Err(); err != nil {
-			return PricedParent{}, fmt.Errorf("sweep: pricing canceled at frame %d/%d: %w", i, len(w.Frames), err)
+// ResolveGrid is the one grid resolver every grid consumer shares:
+// the shard worker, the sequential sweep, the validation and energy
+// sweeps, the service's sweep and price queries. It looks up every
+// config's PriceKey (workload fp) in c, prices all the misses with
+// one gpu.Simulator.PriceGrid on base — at most workers goroutines
+// (<= 0 selects GOMAXPROCS), each walking the draws once for its
+// contiguous group of configs — and stores each priced result. It
+// returns the priced parent per config, in cfgs order, and how many
+// were priced rather than served from c. A nil c prices every config.
+//
+// Misses priced in one batch are not single-flighted per key: a
+// concurrent resolver that misses the same key prices it too, and
+// both store field-equal entries, because pricing is deterministic.
+// A canceled batch stores nothing.
+func ResolveGrid(ctx context.Context, c *cache.Cache, base *gpu.Simulator, fp trace.Fingerprint, cfgs []gpu.Config, workers int) ([]PricedParent, int, error) {
+	out := make([]PricedParent, len(cfgs))
+	var (
+		keys  []cache.Key
+		miss  []int
+		mcfgs []gpu.Config
+	)
+	for i, cfg := range cfgs {
+		var k cache.Key
+		if c != nil {
+			k = PriceKey(fp, cfg)
+			if p, ok := cache.Get[PricedParent](ctx, c, k); ok {
+				out[i] = p
+				continue
+			}
+			// A lookup cut short by cancellation is a miss; do not
+			// price on behalf of a canceled caller.
+			if err := ctx.Err(); err != nil {
+				return nil, 0, err
+			}
 		}
-		f := &w.Frames[i]
-		var frameNs float64
-		for di := range f.Draws {
-			tn, cn, mn, tb := sim.DrawTotals(&f.Draws[di])
-			frameNs += tn
-			// Totals folds per draw (as Simulator.RunTotals does) while
-			// TotalNs folds per frame (as Simulator.RunParallel does), so
-			// both views are bit-identical to their uncached originals.
-			p.Totals.TotalNs += tn
-			p.Totals.ComputeNs += cn
-			p.Totals.MemoryNs += mn
-			p.Totals.TrafficBytes += tb
-		}
-		p.FrameNs[i] = frameNs
-		p.TotalNs += frameNs
+		keys = append(keys, k)
+		miss = append(miss, i)
+		mcfgs = append(mcfgs, cfg)
 	}
-	return p, nil
+	if len(miss) == 0 {
+		return out, 0, nil
+	}
+
+	pctx, sp := obs.StartSpan(ctx, "price-grid")
+	sp.AddItems(int64(len(miss)))
+	sp.SetWorkers(min(parallel.Workers(workers), len(miss)))
+	runs, err := base.PriceGrid(pctx, mcfgs, workers)
+	sp.End()
+	if err != nil {
+		return nil, 0, fmt.Errorf("sweep: %w", err)
+	}
+	obs.RunFromContext(ctx).Metrics().Counter("sweep.configs_priced").Add(int64(len(miss)))
+	for j, i := range miss {
+		out[i] = PricedParent(runs[j])
+		cache.Put(ctx, c, keys[j], out[i])
+	}
+	return out, len(miss), nil
 }
 
 // RunResult converts the priced parent back to the simulator-level

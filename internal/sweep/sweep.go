@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/dcmath"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
@@ -85,14 +86,14 @@ type Result struct {
 
 // RunParallel prices the parent and the subset's parent-estimate on
 // every config with at most workers goroutines (<= 0 selects
-// GOMAXPROCS), one configuration per task: pricing a large grid on a
-// long parent is the most expensive loop in the system, and every
-// configuration's pricing is independent — each task builds its own
-// simulator and writes only its own grid point. The
+// GOMAXPROCS). The parent — pricing a large grid on a long parent is
+// the most expensive loop in the system — goes through ResolveGrid
+// first, served through the result cache when ctx carries one; the
+// subset reconstructions, ~100x cheaper, are then priced fresh, one
+// configuration per task, each writing only its own grid point. The
 // correlation statistics are folded sequentially over the points in
 // grid order, so the Result is bit-identical at any worker count.
-// Cancellation is checked once per parent frame inside each pricing
-// task.
+// Cancellation is checked once per parent frame.
 func RunParallel(ctx context.Context, w *trace.Workload, s *subset.Subset, cfgs []gpu.Config, workers int) (Result, error) {
 	if len(cfgs) < 2 {
 		return Result{}, fmt.Errorf("sweep: need at least 2 configs, have %d", len(cfgs))
@@ -101,20 +102,16 @@ func RunParallel(ctx context.Context, w *trace.Workload, s *subset.Subset, cfgs 
 	defer sp.End()
 	sp.AddItems(int64(len(cfgs)))
 	sp.SetWorkers(parallel.Workers(workers))
-	obs.RunFromContext(ctx).Metrics().Counter("sweep.configs_priced").Add(int64(len(cfgs)))
-	base, err := gpu.NewSimulator(cfgs[0], w)
+	base, parents, err := priceParents(ctx, w, cfgs, workers)
 	if err != nil {
 		return Result{}, err
 	}
 	points, err := parallel.MapSlice(ctx, workers, cfgs, func(ctx context.Context, i int, cfg gpu.Config) (Point, error) {
-		// Parent pricing — the dominant cost — goes through the result
-		// cache when ctx carries one; the subset reconstruction is ~100x
-		// cheaper and always priced fresh.
-		sim, priced, err := PriceConfig(ctx, base, w, cfg, i, len(cfgs))
+		sim, err := base.WithConfig(cfg)
 		if err != nil {
 			return Point{}, err
 		}
-		return Point{Config: cfg, ParentNs: priced.TotalNs, SubsetNs: s.EstimateParentNs(sim)}, nil
+		return Point{Config: cfg, ParentNs: parents[i].TotalNs, SubsetNs: s.EstimateParentNs(sim)}, nil
 	})
 	if err != nil {
 		return Result{}, err
@@ -175,4 +172,20 @@ func SubsetOnlyParallel(ctx context.Context, s *subset.Subset, cfgs []gpu.Config
 		}
 		return s.EstimateParentNs(sim), nil
 	})
+}
+
+// priceParents builds the base simulator on w and resolves the
+// parent's pricing on every config through ResolveGrid, with the
+// cache ctx carries (if any).
+func priceParents(ctx context.Context, w *trace.Workload, cfgs []gpu.Config, workers int) (*gpu.Simulator, []PricedParent, error) {
+	base, err := gpu.NewSimulator(cfgs[0], w)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, fp, _ := cache.ForWorkload(ctx)
+	parents, _, err := ResolveGrid(ctx, c, base, fp, cfgs, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return base, parents, nil
 }
