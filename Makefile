@@ -124,14 +124,15 @@ bench-hotpath:
 # The baseline tolerance is 25% — measured min-of-3 ratios swing ~12%
 # run to run on shared VMs, so a 10% window flakes on noise alone —
 # and the floors pin what must hold regardless of noise: the exact
-# path within 10% of the frozen seed path (exact >= 0.9x naive), the
+# path, whose leader scan walks a sorted first-coordinate index, at
+# least twice the frozen linear-scan seed path (exact >= 2x naive), the
 # bucketed arm still decisively sub-linear (>= 3.5x), and the flat
 # pricing oracle at least twice the frozen map-and-mip-walk oracle
 # (Oracle/flat >= 2x).
 bench-hotpath-check:
 	$(GO) test -bench='^Benchmark(HotPath|Oracle)$$' -run '^$$' -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . | $(GO) run ./cmd/benchjson -match '^(HotPath|Oracle)' -o bench-hotpath-new.json
 	$(GO) run ./cmd/benchguard -in bench-hotpath-new.json -baseline BENCH_hotpath.json -max-regress 0.25 \
-	  -min HotPath/exact=0.9 -min HotPath/bucketed=3.5 -min Oracle/flat=2.0
+	  -min HotPath/exact=2.0 -min HotPath/bucketed=3.5 -min Oracle/flat=2.0
 
 # bench-shard regenerates BENCH_shard.json: the 32-config grid sweep
 # split across 2/4/8 shard workers versus the sequential path

@@ -93,9 +93,60 @@ func naiveDrawInto(w *trace.Workload, mixes map[shader.ID]shader.Mix, d *trace.D
 	}
 }
 
+// naiveLeader freezes the linear-scan leader clustering from before the
+// first-coordinate index: every point visits every leader in founding
+// order with an early-exit distance, then centroids are folded as
+// member means. It assigns exactly as cluster.Leader does.
+func naiveLeader(x *linalg.Matrix, threshold float64) cluster.Result {
+	limit := threshold * threshold
+	assign := make([]int, x.Rows)
+	var leaders []int
+	for i := 0; i < x.Rows; i++ {
+		row := x.Row(i)
+		best := -1
+		bestD := limit
+		for c, li := range leaders {
+			lrow := x.Row(li)
+			var d float64
+			for j, v := range row {
+				diff := v - lrow[j]
+				d += diff * diff
+				if d > bestD {
+					break
+				}
+			}
+			if d <= bestD {
+				best = c
+				bestD = d
+			}
+		}
+		if best == -1 {
+			best = len(leaders)
+			leaders = append(leaders, i)
+		}
+		assign[i] = best
+	}
+	k := len(leaders)
+	cent := linalg.NewMatrix(k, x.Cols)
+	counts := make([]float64, k)
+	for i, c := range assign {
+		crow := cent.Row(c)
+		for j, v := range x.Row(i) {
+			crow[j] += v
+		}
+		counts[c]++
+	}
+	for c := 0; c < k; c++ {
+		if counts[c] > 0 {
+			linalg.Scale(1/counts[c], cent.Row(c))
+		}
+	}
+	return cluster.Result{Assign: assign, K: k, Centroids: cent}
+}
+
 // naiveClusterFrames is the frozen pre-optimization per-frame path: a
 // fresh feature matrix per frame filled by naiveDrawInto, batch
-// z-score, exact leader clustering, medoids. It exists to stay slow
+// z-score, linear-scan leader clustering (naiveLeader), medoids. It exists to stay slow
 // the way the code used to be, so BENCH_hotpath.json's speedup ratios
 // measure real improvement machine-independently.
 func naiveClusterFrames(b *testing.B, w *trace.Workload, mixes map[shader.ID]shader.Mix, threshold float64) int {
@@ -112,10 +163,7 @@ func naiveClusterFrames(b *testing.B, w *trace.Workload, mixes map[shader.ID]sha
 		for i := 0; i < m.Rows; i++ {
 			z.Apply(m.Row(i))
 		}
-		res, err := cluster.Leader(m, threshold)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := naiveLeader(m, threshold)
 		res.Medoids(m)
 		clusters += res.K
 	}
@@ -126,7 +174,7 @@ func naiveClusterFrames(b *testing.B, w *trace.Workload, mixes map[shader.ID]sha
 // throughput across the hot-path arms:
 //
 //	path=naive      frozen pre-optimization reference (per-draw allocs,
-//	                exact leader)
+//	                linear-scan exact leader)
 //	path=exact      current exact path (flat extraction, scratch reuse)
 //	path=bucketed   signature-bucketed leader
 //

@@ -47,3 +47,45 @@ func TestLeaderBucketedPerPointZeroAlloc(t *testing.T) {
 		t.Fatalf("LeaderBucketed allocates %.0f for 64 points, %.0f for 1024: per-point steady state allocates", a, b)
 	}
 }
+
+// Leader allocates its result and nothing else once warm: the
+// assignment, the centroid matrix and the centroid fold's counts. Its
+// first-coordinate index comes from a pool, so the count must not grow
+// with the number of leaders a frame founds — a dense frame of a few
+// clusters and a sparse one of hundreds cost the same.
+func TestLeaderAllocsIndependentOfLeaders(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	frame := func(clusters int) *linalg.Matrix {
+		rng := dcmath.NewRNG(401)
+		x := linalg.NewMatrix(1024, 8)
+		for i := 0; i < x.Rows; i++ {
+			for j, row := 0, x.Row(i); j < len(row); j++ {
+				row[j] = float64((i*7+j)%clusters)*3 + rng.Float64()*0.1
+			}
+		}
+		return x
+	}
+	dense, sparse := frame(4), frame(512)
+	for _, x := range []*linalg.Matrix{dense, sparse} {
+		if _, err := Leader(x, 1.0); err != nil { // warm the pooled index
+			t.Fatal(err)
+		}
+	}
+	allocs := func(x *linalg.Matrix) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := Leader(x, 1.0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	kd, _ := Leader(dense, 1.0)
+	ks, _ := Leader(sparse, 1.0)
+	if kd.K > 16 || ks.K < 256 {
+		t.Fatalf("fixtures found %d and %d leaders; want a handful and hundreds", kd.K, ks.K)
+	}
+	if a, b := allocs(dense), allocs(sparse); a != b || a > 4 {
+		t.Fatalf("Leader allocates %.0f with %d leaders, %.0f with %d: want the same small constant", a, kd.K, b, ks.K)
+	}
+}
